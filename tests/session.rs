@@ -616,3 +616,155 @@ fn legacy_configs_roundtrip() {
         assert_eq!(roundtrip(&mc), mc);
     }
 }
+
+/// FNV-1a over a stream of words: a result fingerprint that does not
+/// depend on the standard library's hasher.
+fn fingerprint(words: impl IntoIterator<Item = u64>) -> u64 {
+    words.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, w| {
+        (h ^ w).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+fn option_words(results: &[Option<u64>]) -> impl Iterator<Item = u64> + '_ {
+    results.iter().map(|r| r.map_or(u64::MAX, |v| v))
+}
+
+/// The op costs every backend charges, pinned: `(backend, op, rounds,
+/// messages, bits, result fingerprint)` for all six ops on one small
+/// instance. The simulator configuration is explicit (not read from the
+/// `LCS_SIM_*` environment), so the pins hold under every CI variant.
+/// `aggregate.delay_range > 0` exercises the random-delays path, and the
+/// session-wide `sim`, `mst.sim` and `mincut.sim` pack at 4, 2 and 1
+/// values per message: each op's costs show which of the three it ran on
+/// (min-cut's Boruvka must run on `mincut.sim`, not `mst.sim`).
+#[test]
+fn op_costs_are_pinned_per_backend() {
+    #[rustfmt::skip]
+    const PINS: &[(&str, &str, u64, u64, u64, u64)] = &[
+        ("centralized", "aggregate", 28, 311, 11712, 0x8087ddfc723a3d2),
+        ("centralized", "gossip", 13, 342, 34914, 0xf749c5546dc0d4fa),
+        ("centralized", "unicast", 10, 48, 1536, 0x1e848e18933ddfb1),
+        ("centralized", "mst", 493, 3376, 83120, 0xdac9cb0f9b2349a2),
+        ("centralized", "components", 345, 2262, 56560, 0x17f8dc1ca2b9091a),
+        ("centralized", "mincut", 739, 4952, 118704, 0x8395607b4f139a5),
+        ("distributed", "aggregate", 28, 311, 11712, 0x8087ddfc723a3d2),
+        ("distributed", "gossip", 13, 342, 34914, 0xf749c5546dc0d4fa),
+        ("distributed", "unicast", 10, 48, 1536, 0x1e848e18933ddfb1),
+        ("distributed", "mst", 493, 3376, 83120, 0xdac9cb0f9b2349a2),
+        ("distributed", "components", 420, 2639, 58239, 0x17f8dc1ca2b9091a),
+        ("distributed", "mincut", 838, 5452, 120924, 0x8395607b4f139a5),
+        ("sketch", "aggregate", 28, 311, 11712, 0x8087ddfc723a3d2),
+        ("sketch", "gossip", 13, 342, 34914, 0xf749c5546dc0d4fa),
+        ("sketch", "unicast", 10, 48, 1536, 0x1e848e18933ddfb1),
+        ("sketch", "mst", 493, 3376, 83120, 0xdac9cb0f9b2349a2),
+        ("sketch", "components", 420, 2639, 62074, 0x17f8dc1ca2b9091a),
+        ("sketch", "mincut", 838, 5452, 125880, 0x8395607b4f139a5),
+    ];
+
+    let g = gen::grid(5, 5);
+    let sim = SimConfig::default();
+    let config = SessionConfig {
+        shortcut: ShortcutConfig {
+            witness_mode: WitnessMode::Skip,
+            ..ShortcutConfig::default()
+        },
+        sim: SimConfig {
+            message_packing: 4,
+            ..sim
+        },
+        aggregate: AggregateOpts {
+            delay_range: 4,
+            ..AggregateOpts::default()
+        },
+        mst: MstOpts {
+            sim: Some(SimConfig {
+                message_packing: 2,
+                ..sim
+            }),
+            ..MstOpts::default()
+        },
+        mincut: MincutOpts {
+            sim: Some(SimConfig {
+                message_packing: 1,
+                ..sim
+            }),
+            ..MincutOpts::default()
+        },
+        ..SessionConfig::default()
+    };
+    let backends = [
+        ("centralized", Backend::Centralized),
+        ("distributed", Backend::Distributed(sim)),
+        (
+            "sketch",
+            Backend::Sketch(DistConfig {
+                mode: DistMode::Sketch {
+                    t: 8,
+                    hash_seed: 0xbeef,
+                    cut_factor: 1.0,
+                },
+                sim,
+            }),
+        ),
+    ];
+    let values: Vec<u64> = (0..25u64).map(|x| (x * 131) % 997).collect();
+    let demands: Vec<(NodeId, NodeId)> = (0..8).map(|i| (NodeId(i), NodeId(24 - i))).collect();
+    let weights = EdgeWeights::random_unique(&g, &mut SmallRng::seed_from_u64(3));
+
+    let mut got = Vec::new();
+    for (name, backend) in backends {
+        let mut s = Session::on(&g)
+            .partition(gen::rows_of_grid(5, 5))
+            .backend(backend)
+            .config(config.clone())
+            .build()
+            .unwrap();
+        let r = s.aggregate(&values, AggOp::Sum);
+        let fp = fingerprint(
+            option_words(&r.result.results).chain([u64::from(r.result.all_members_informed)]),
+        );
+        got.push((name, "aggregate", r.rounds, r.messages, r.bits, fp));
+        let r = s.gossip(
+            &values,
+            low_congestion_shortcuts::partwise::IdempotentOp::Min,
+        );
+        let fp =
+            fingerprint(option_words(&r.result.results).chain([u64::from(r.result.converged)]));
+        got.push((name, "gossip", r.rounds, r.messages, r.bits, fp));
+        let r = s.unicast(&demands);
+        let fp = fingerprint([
+            r.result.delivered as u64,
+            u64::from(r.result.congestion),
+            u64::from(r.result.dilation),
+        ]);
+        got.push((name, "unicast", r.rounds, r.messages, r.bits, fp));
+        let r = s.mst(&weights);
+        let fp = fingerprint(
+            r.result
+                .edges
+                .iter()
+                .map(|e| u64::from(e.0))
+                .chain([r.result.total_weight, r.result.phases as u64]),
+        );
+        got.push((name, "mst", r.rounds, r.messages, r.bits, fp));
+        let r = s.components();
+        let fp = fingerprint(
+            r.result
+                .label
+                .iter()
+                .map(|&l| u64::from(l))
+                .chain([r.result.count as u64]),
+        );
+        got.push((name, "components", r.rounds, r.messages, r.bits, fp));
+        let r = s.mincut();
+        let fp = fingerprint([r.result.estimate, r.result.trees as u64]);
+        got.push((name, "mincut", r.rounds, r.messages, r.bits, fp));
+    }
+    let rendered: String = got
+        .iter()
+        .map(|(b, op, r, m, bits, fp)| {
+            format!("    (\"{b}\", \"{op}\", {r}, {m}, {bits}, {fp:#x}),\n")
+        })
+        .collect();
+    assert_eq!(got, PINS, "op costs drifted; observed:\n{rendered}");
+}
