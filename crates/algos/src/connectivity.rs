@@ -5,12 +5,12 @@
 //! unit weights, the MST machinery computes a spanning forest, and fragment
 //! ids at fixpoint are component labels, in `Õ(δD)` rounds per phase.
 
-use crate::mst::{boruvka_config_of, distributed_mst, BoruvkaConfig, MstReport};
-use lcs_core::session::{deps, OpReport, PartwiseOp, ShortcutSession};
+use crate::mst::{boruvka, op_report, MstReport, ShortcutProvider};
+use lcs_core::session::{deps, Backend, OpReport, PartwiseOp, SessionConfig, ShortcutSession};
 use lcs_graph::weights::EdgeWeights;
 use lcs_graph::{Graph, NodeId, UnionFind};
 
-/// Result of [`distributed_components`].
+/// Result of [`ComponentsOp`].
 #[derive(Clone, Debug)]
 pub struct ComponentsReport {
     /// Dense component label per node.
@@ -21,38 +21,8 @@ pub struct ComponentsReport {
     pub mst: MstReport,
 }
 
-/// Computes connected components distributedly via unit-weight Boruvka.
-///
-/// # Panics
-///
-/// Panics like [`distributed_mst`].
-pub fn distributed_components(g: &Graph, root: NodeId, cfg: &BoruvkaConfig) -> ComponentsReport {
-    let weights = EdgeWeights::unit(g);
-    let mst = distributed_mst(g, &weights, root, cfg);
-    let mut uf = UnionFind::new(g.num_nodes());
-    for &e in &mst.edges {
-        let (u, v) = g.endpoints(e);
-        uf.union(u.index(), v.index());
-    }
-    let mut label = vec![u32::MAX; g.num_nodes()];
-    let mut next = 0u32;
-    for v in g.nodes() {
-        let r = uf.find(v.index());
-        if label[r] == u32::MAX {
-            label[r] = next;
-            next += 1;
-        }
-        label[v.index()] = label[r];
-    }
-    ComponentsReport {
-        label,
-        count: next as usize,
-        mst,
-    }
-}
-
 /// Connected components as a session-drivable operation ([`PartwiseOp`]):
-/// unit-weight Boruvka over the session's root and backend-derived
+/// unit-weight Boruvka over the session's root, with its backend as the
 /// shortcut provider.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ComponentsOp;
@@ -64,19 +34,60 @@ impl PartwiseOp for ComponentsOp {
         // Purely topology-scoped: partition and weight churn keep the
         // cached report alive.
         let report = session.op_artifact_with(deps::TOPOLOGY_ONLY, |s| {
-            let cfg = boruvka_config_of(s);
-            distributed_components(s.graph(), s.root(), &cfg)
+            self.run_on(s.graph(), s.root(), s.backend(), s.config())
         });
-        let cfg = boruvka_config_of(session);
-        let (threads, bandwidth_bits) = crate::mst::exec_config(session.graph(), cfg.partwise.sim);
-        OpReport {
-            rounds: report.mst.rounds.total(),
-            messages: report.mst.messages,
-            bits: report.mst.bits,
-            quality: None,
-            threads,
-            bandwidth_bits,
-            result: (*report).clone(),
+        let mst = &report.mst;
+        let (rounds, messages, bits) = (mst.rounds.total(), mst.messages, mst.bits);
+        let sim = session.config().mst_sim();
+        op_report(
+            session.graph(),
+            sim,
+            rounds,
+            messages,
+            bits,
+            (*report).clone(),
+        )
+    }
+}
+
+impl ComponentsOp {
+    /// Computes connected components by unit-weight Boruvka over explicit
+    /// inputs (the non-session path), configured like
+    /// [`MstOp::run_on`](crate::mst::MstOp::run_on) with `backend` as the
+    /// shortcut provider.
+    ///
+    /// # Panics
+    ///
+    /// Panics like [`MstOp::run_on`](crate::mst::MstOp::run_on).
+    pub fn run_on(
+        &self,
+        g: &Graph,
+        root: NodeId,
+        backend: &Backend,
+        cfg: &SessionConfig,
+    ) -> ComponentsReport {
+        let weights = EdgeWeights::unit(g);
+        let provider = ShortcutProvider::Backend(backend.clone());
+        let mst = boruvka(g, &weights, root, &provider, cfg, cfg.mst_sim());
+        let mut uf = UnionFind::new(g.num_nodes());
+        for &e in &mst.edges {
+            let (u, v) = g.endpoints(e);
+            uf.union(u.index(), v.index());
+        }
+        let mut label = vec![u32::MAX; g.num_nodes()];
+        let mut next = 0u32;
+        for v in g.nodes() {
+            let r = uf.find(v.index());
+            if label[r] == u32::MAX {
+                label[r] = next;
+                next += 1;
+            }
+            label[v.index()] = label[r];
+        }
+        ComponentsReport {
+            label,
+            count: next as usize,
+            mst,
         }
     }
 }
@@ -86,10 +97,19 @@ mod tests {
     use super::*;
     use lcs_graph::{components, gen};
 
+    fn run(g: &Graph) -> ComponentsReport {
+        ComponentsOp.run_on(
+            g,
+            NodeId(0),
+            &Backend::Centralized,
+            &SessionConfig::default(),
+        )
+    }
+
     #[test]
     fn single_component_grid() {
         let g = gen::grid(5, 5);
-        let rep = distributed_components(&g, NodeId(0), &BoruvkaConfig::default());
+        let rep = run(&g);
         assert_eq!(rep.count, 1);
         assert_eq!(rep.mst.edges.len(), 24);
         assert!(rep.label.iter().all(|&l| l == rep.label[0]));
@@ -98,7 +118,7 @@ mod tests {
     #[test]
     fn matches_centralized_components() {
         let g = Graph::from_edges(8, [(0, 1), (1, 2), (3, 4), (5, 6), (6, 7), (5, 7)]);
-        let rep = distributed_components(&g, NodeId(0), &BoruvkaConfig::default());
+        let rep = run(&g);
         let reference = components::connected_components(&g);
         assert_eq!(rep.count, reference.count);
         // Labels agree up to renaming: same label iff same component.
@@ -111,6 +131,4 @@ mod tests {
             }
         }
     }
-
-    use lcs_graph::Graph;
 }

@@ -2,8 +2,8 @@
 //! with centralized references.
 //!
 //! * [`mst`] — Boruvka's MST over part-wise aggregation (Corollary 1.6),
-//!   checked against Kruskal; pluggable shortcut providers (minor-sweep,
-//!   `D+√n` baseline, none).
+//!   checked against Kruskal; the session backend provides each phase's
+//!   shortcuts, with the `D+√n` baseline and no shortcuts as ablations.
 //! * [`connectivity`] — spanning forest / connected components as unweighted
 //!   Boruvka.
 //! * [`mincut`] — minimum cut: exact Stoer–Wagner reference and the

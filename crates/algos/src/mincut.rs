@@ -19,13 +19,12 @@
 //! deg-sum half is simulated and whose LCA-token half is computed centrally
 //! (charged as zero; `O(D + load)` rounds in theory).
 
-use crate::mst::{boruvka_config_of, distributed_mst, BoruvkaConfig, MstRounds};
+use crate::mst::{boruvka, op_report, MstRounds, ShortcutProvider};
 use lcs_congest::protocols::{AggOp, ConvergecastProgram, TreeKnowledge};
 use lcs_congest::Simulator;
-use lcs_core::session::{deps, OpReport, PartwiseOp, ShortcutSession};
+use lcs_core::session::{deps, Backend, OpReport, PartwiseOp, SessionConfig, ShortcutSession};
 use lcs_graph::weights::EdgeWeights;
 use lcs_graph::{bfs, components, EdgeId, Graph, NodeId};
-use serde::{Deserialize, Serialize};
 
 /// Exact minimum cut by Stoer–Wagner (`O(n³)`); returns 0 for disconnected
 /// graphs. Unit edge weights (edge connectivity).
@@ -90,16 +89,7 @@ pub fn stoer_wagner_weighted(g: &Graph, weights: &EdgeWeights) -> u64 {
     best
 }
 
-/// Configuration of [`approx_mincut_distributed`].
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub struct MincutConfig {
-    /// Number of trees to pack; `None` = `min(min_degree, 2·⌈ln n⌉ + 4)`.
-    pub trees: Option<usize>,
-    /// Boruvka settings for each packed tree.
-    pub boruvka: BoruvkaConfig,
-}
-
-/// Result of [`approx_mincut_distributed`].
+/// Result of [`MincutOp`].
 #[derive(Clone, Debug)]
 pub struct MincutReport {
     /// The best (smallest) 1-respecting cut found — an upper bound on `λ`.
@@ -116,69 +106,9 @@ pub struct MincutReport {
     pub bits: u64,
 }
 
-/// Distributed (simulated) min-cut approximation by greedy tree packing +
-/// 1-respecting cuts.
-///
-/// # Panics
-///
-/// Panics if `g` is disconnected or has fewer than 2 nodes.
-pub fn approx_mincut_distributed(g: &Graph, root: NodeId, cfg: &MincutConfig) -> MincutReport {
-    assert!(g.num_nodes() >= 2, "minimum cut needs at least two nodes");
-    assert!(components::is_connected(g), "graph must be connected");
-    let n = g.num_nodes();
-    let q = cfg.trees.unwrap_or_else(|| {
-        let by_degree = g.min_degree().max(1);
-        by_degree.min(2 * (n as f64).ln().ceil() as usize + 4)
-    });
-
-    let mut loads = EdgeWeights::from_vec(g, vec![1; g.num_edges()]);
-    let mut rounds = MstRounds::default();
-    let mut eval_rounds = 0u64;
-    let mut messages = 0u64;
-    let mut bits = 0u64;
-    let mut best = u64::MAX;
-
-    for _ in 0..q {
-        let report = distributed_mst(g, &loads, root, &cfg.boruvka);
-        rounds.exchange += report.rounds.exchange;
-        rounds.construction += report.rounds.construction;
-        rounds.aggregation += report.rounds.aggregation;
-        rounds.notification += report.rounds.notification;
-        messages += report.messages;
-        bits += report.bits;
-
-        // Orient the packed tree and evaluate its 1-respecting cuts.
-        let tree = tree_from_edges(g, &report.edges, root);
-        best = best.min(min_one_respecting_cut(g, &tree));
-
-        // Simulate the deg-sum convergecast of the evaluation (one per
-        // tree); the LCA-token half is centralized (see module docs).
-        let tk = TreeKnowledge::from_rooted_tree(g, &tree);
-        let sim = Simulator::new(g, cfg.boruvka.partwise.sim);
-        let run = sim.run(|v, _| ConvergecastProgram::new(&tk, v, AggOp::Sum, g.degree(v) as u64));
-        eval_rounds += run.metrics.rounds;
-        messages += run.metrics.messages;
-        bits += run.metrics.bits;
-
-        // Increase loads along the tree.
-        for &e in &report.edges {
-            *loads.weight_mut(e) += 1;
-        }
-    }
-
-    MincutReport {
-        estimate: best,
-        trees: q,
-        rounds,
-        eval_rounds,
-        messages,
-        bits,
-    }
-}
-
 /// The min-cut approximation as a session-drivable operation
-/// ([`PartwiseOp`]): greedy tree packing over the session's root and
-/// backend-derived shortcut provider.
+/// ([`PartwiseOp`]): greedy tree packing over the session's root, with its
+/// backend as the shortcut provider of every packed tree's Boruvka.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct MincutOp;
 
@@ -186,35 +116,95 @@ impl PartwiseOp for MincutOp {
     type Output = MincutReport;
 
     fn run(self, session: &mut ShortcutSession<'_>) -> OpReport<MincutReport> {
-        let mincut_config = |s: &ShortcutSession<'_>| {
-            let boruvka = boruvka_config_of(s);
-            MincutConfig {
-                trees: s.config().mincut.trees,
-                boruvka: BoruvkaConfig {
-                    partwise: lcs_partwise::PartwiseConfig {
-                        sim: s.config().mincut_sim(),
-                        ..boruvka.partwise
-                    },
-                    ..boruvka
-                },
-            }
-        };
         // Purely topology-scoped: partition and weight churn keep the
         // cached report alive.
         let report = session.op_artifact_with(deps::TOPOLOGY_ONLY, |s| {
-            approx_mincut_distributed(s.graph(), s.root(), &mincut_config(s))
+            self.run_on(s.graph(), s.root(), s.backend(), s.config())
         });
-        let cfg = mincut_config(session);
-        let (threads, bandwidth_bits) =
-            crate::mst::exec_config(session.graph(), cfg.boruvka.partwise.sim);
-        OpReport {
-            rounds: report.rounds.total() + report.eval_rounds,
-            messages: report.messages,
-            bits: report.bits,
-            quality: None,
-            threads,
-            bandwidth_bits,
-            result: (*report).clone(),
+        let rounds = report.rounds.total() + report.eval_rounds;
+        let sim = session.config().mincut_sim();
+        op_report(
+            session.graph(),
+            sim,
+            rounds,
+            report.messages,
+            report.bits,
+            (*report).clone(),
+        )
+    }
+}
+
+impl MincutOp {
+    /// Distributed (simulated) min-cut approximation by greedy tree packing
+    /// and 1-respecting cuts over explicit inputs (the non-session path).
+    /// Packs `cfg.mincut.trees` trees (`None` = `min(min_degree,
+    /// 2·⌈ln n⌉ + 4)`), each by Boruvka configured like
+    /// [`MstOp::run_on`](crate::mst::MstOp::run_on) with `backend` as the
+    /// shortcut provider; its aggregations and the evaluation
+    /// convergecasts run on [`SessionConfig::mincut_sim`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `g` is disconnected or has fewer than 2 nodes.
+    pub fn run_on(
+        &self,
+        g: &Graph,
+        root: NodeId,
+        backend: &Backend,
+        cfg: &SessionConfig,
+    ) -> MincutReport {
+        assert!(g.num_nodes() >= 2, "minimum cut needs at least two nodes");
+        assert!(components::is_connected(g), "graph must be connected");
+        let n = g.num_nodes();
+        let q = cfg.mincut.trees.unwrap_or_else(|| {
+            let by_degree = g.min_degree().max(1);
+            by_degree.min(2 * (n as f64).ln().ceil() as usize + 4)
+        });
+        let provider = ShortcutProvider::Backend(backend.clone());
+        let sim = cfg.mincut_sim();
+
+        let mut loads = EdgeWeights::from_vec(g, vec![1; g.num_edges()]);
+        let mut rounds = MstRounds::default();
+        let mut eval_rounds = 0u64;
+        let mut messages = 0u64;
+        let mut bits = 0u64;
+        let mut best = u64::MAX;
+
+        for _ in 0..q {
+            let report = boruvka(g, &loads, root, &provider, cfg, sim);
+            rounds.exchange += report.rounds.exchange;
+            rounds.construction += report.rounds.construction;
+            rounds.aggregation += report.rounds.aggregation;
+            rounds.notification += report.rounds.notification;
+            messages += report.messages;
+            bits += report.bits;
+
+            // Orient the packed tree and evaluate its 1-respecting cuts.
+            let tree = tree_from_edges(g, &report.edges, root);
+            best = best.min(min_one_respecting_cut(g, &tree));
+
+            // Simulate the deg-sum convergecast of the evaluation (one per
+            // tree); the LCA-token half is centralized (see module docs).
+            let tk = TreeKnowledge::from_rooted_tree(g, &tree);
+            let run = Simulator::new(g, sim)
+                .run(|v, _| ConvergecastProgram::new(&tk, v, AggOp::Sum, g.degree(v) as u64));
+            eval_rounds += run.metrics.rounds;
+            messages += run.metrics.messages;
+            bits += run.metrics.bits;
+
+            // Increase loads along the tree.
+            for &e in &report.edges {
+                *loads.weight_mut(e) += 1;
+            }
+        }
+
+        MincutReport {
+            estimate: best,
+            trees: q,
+            rounds,
+            eval_rounds,
+            messages,
+            bits,
         }
     }
 }
@@ -360,7 +350,7 @@ pub fn min_two_respecting_cut(g: &Graph, tree: &lcs_graph::RootedTree) -> u64 {
 ///
 /// # Panics
 ///
-/// Panics like [`approx_mincut_distributed`].
+/// Panics like [`MincutOp::run_on`].
 pub fn exact_mincut_via_packing(g: &Graph, root: NodeId, trees: usize) -> u64 {
     assert!(g.num_nodes() >= 2, "minimum cut needs at least two nodes");
     assert!(components::is_connected(g), "graph must be connected");
@@ -395,6 +385,15 @@ fn lca(tree: &lcs_graph::RootedTree, mut a: NodeId, mut b: NodeId) -> NodeId {
 mod tests {
     use super::*;
     use lcs_graph::gen;
+
+    fn approx(g: &Graph) -> MincutReport {
+        MincutOp.run_on(
+            g,
+            NodeId(0),
+            &Backend::Centralized,
+            &SessionConfig::default(),
+        )
+    }
 
     #[test]
     fn stoer_wagner_basics() {
@@ -432,7 +431,7 @@ mod tests {
                 (5, 6),
             ],
         );
-        let rep = approx_mincut_distributed(&g, NodeId(0), &MincutConfig::default());
+        let rep = approx(&g);
         assert_eq!(rep.estimate, 1); // the pendant edge (5,6)
         assert_eq!(rep.estimate, stoer_wagner(&g));
     }
@@ -440,7 +439,7 @@ mod tests {
     #[test]
     fn cycle_and_grid_cuts_found() {
         for g in [gen::cycle(10), gen::grid(5, 5), gen::torus(4, 4)] {
-            let rep = approx_mincut_distributed(&g, NodeId(0), &MincutConfig::default());
+            let rep = approx(&g);
             let exact = stoer_wagner(&g);
             assert!(rep.estimate >= exact, "estimate below true min cut");
             assert_eq!(rep.estimate, exact, "small cuts should be found exactly");
@@ -506,7 +505,7 @@ mod tests {
     fn estimate_is_always_an_upper_bound() {
         let mut rng = <rand::rngs::SmallRng as rand::SeedableRng>::seed_from_u64(21);
         let g = gen::gnm_connected(30, 60, &mut rng);
-        let rep = approx_mincut_distributed(&g, NodeId(0), &MincutConfig::default());
+        let rep = approx(&g);
         assert!(rep.estimate >= stoer_wagner(&g));
     }
 

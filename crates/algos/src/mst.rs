@@ -10,14 +10,16 @@
 //! second aggregation wave. All MWOEs are safe by the cut property under
 //! the (weight, edge-id) tie-break, so the edge set is exact.
 
-use lcs_congest::id_bits;
 use lcs_congest::protocols::AggOp;
-use lcs_core::dist::{distributed_full_shortcut, DistConfig, DistMode};
-use lcs_core::session::{deps, Backend, OpReport, PartwiseOp, ShortcutSession};
-use lcs_core::{full_shortcut, Partition, Shortcut, ShortcutConfig};
+use lcs_congest::{id_bits, SimConfig, Simulator};
+use lcs_core::dist::distributed_full_shortcut;
+use lcs_core::session::{
+    deps, Backend, ConstructionStats, OpReport, PartwiseOp, SessionConfig, ShortcutSession,
+};
+use lcs_core::{full_shortcut, Partition, Shortcut};
 use lcs_graph::weights::EdgeWeights;
-use lcs_graph::{EdgeId, Graph, NodeId, PartId, UnionFind};
-use lcs_partwise::{solve_partwise, PartwiseConfig};
+use lcs_graph::{EdgeId, Graph, NodeId, PartId, RootedTree, UnionFind};
+use lcs_partwise::{AggregateOp, ParticipationMap};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -42,49 +44,22 @@ pub fn kruskal(g: &Graph, weights: &EdgeWeights) -> Vec<EdgeId> {
 }
 
 /// How each Boruvka phase obtains its shortcuts.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum ShortcutProvider {
-    /// Centralized Theorem 1.2 construction ("oracle" — construction rounds
-    /// are not charged; use to isolate aggregation cost).
-    MinorSweepOracle(ShortcutConfig),
-    /// The real distributed Theorem 1.5 construction; its simulated rounds
-    /// are charged per phase.
-    MinorSweepDistributed(ShortcutConfig, DistConfig),
-    /// The folklore `D + √n` shortcut (parts bigger than `√n` get the whole
-    /// BFS tree). Constructible in `O(D)` rounds, charged as zero.
+    /// The minor-sweep construction of this backend with the
+    /// [`SessionConfig::shortcut`] constants: the centralized Theorem 1.2
+    /// "oracle" for [`Backend::Centralized`] (construction rounds are not
+    /// charged; isolates aggregation cost), the simulated Theorem 1.5
+    /// construction for [`Backend::Distributed`] / [`Backend::Sketch`]
+    /// (its rounds are charged per phase). What a session runs.
+    Backend(Backend),
+    /// Ablation strawman: the folklore `D + √n` shortcut (parts bigger
+    /// than `√n` get the whole BFS tree). Constructible in `O(D)` rounds,
+    /// charged as zero.
     Baseline,
-    /// No shortcuts: fragments communicate inside `G[P_i]` only.
+    /// Ablation strawman: no shortcuts, fragments communicate inside
+    /// `G[P_i]` only.
     None,
-}
-
-/// Configuration of [`distributed_mst`].
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct BoruvkaConfig {
-    /// Shortcut provider per phase.
-    pub provider: ShortcutProvider,
-    /// Aggregation settings.
-    pub partwise: PartwiseConfig,
-    /// Seed for the leader coin flips.
-    pub seed: u64,
-    /// Safety cap on phases (default `4·log₂ n + 16`).
-    pub max_phases: Option<usize>,
-    /// When `true` (default), fragments with at most `2D + 1` nodes get
-    /// `H_i = ∅`: their own diameter already meets the Observation 2.6
-    /// dilation bound, so shortcutting them only adds congestion. Set to
-    /// `false` for the ablation that shortcuts everything.
-    pub skip_small_fragments: bool,
-}
-
-impl Default for BoruvkaConfig {
-    fn default() -> Self {
-        BoruvkaConfig {
-            provider: ShortcutProvider::MinorSweepOracle(ShortcutConfig::default()),
-            partwise: PartwiseConfig::default(),
-            seed: 0xb0_aa_12,
-            max_phases: None,
-            skip_small_fragments: true,
-        }
-    }
 }
 
 /// Round breakdown of one run.
@@ -107,7 +82,7 @@ impl MstRounds {
     }
 }
 
-/// Result of [`distributed_mst`].
+/// Result of [`MstOp`].
 #[derive(Clone, Debug)]
 pub struct MstReport {
     /// The forest edges, sorted by id.
@@ -127,22 +102,20 @@ pub struct MstReport {
 
 /// Builds shortcuts for the parts living inside the BFS tree's component;
 /// parts in other components (possible for spanning forests on disconnected
-/// graphs) get `H_i = ∅`.
-#[allow(clippy::too_many_arguments)]
+/// graphs) get `H_i = ∅`. Returns the shortcut and its simulated
+/// construction cost (zero unless a distributed backend built it).
 fn provide_shortcuts(
     g: &Graph,
-    tree: &lcs_graph::RootedTree,
+    tree: &RootedTree,
     root: NodeId,
     partition: &Partition,
     provider: &ShortcutProvider,
-    skip_small: bool,
-    rounds: &mut MstRounds,
-    messages: &mut u64,
-    bits: &mut u64,
-) -> Shortcut {
+    cfg: &SessionConfig,
+) -> (Shortcut, ConstructionStats) {
     let k = partition.num_parts();
-    match provider {
-        ShortcutProvider::None => return Shortcut::empty(k),
+    let free = ConstructionStats::default();
+    let backend = match provider {
+        ShortcutProvider::None => return (Shortcut::empty(k), free),
         ShortcutProvider::Baseline => {
             let lists = partition
                 .iter()
@@ -155,43 +128,45 @@ fn provide_shortcuts(
                     }
                 })
                 .collect();
-            return Shortcut::from_edge_lists(lists);
+            return (Shortcut::from_edge_lists(lists), free);
         }
-        _ => {}
-    }
+        ShortcutProvider::Backend(backend) => backend,
+    };
     // Restrict to in-tree parts that actually profit from shortcuts (a part
     // with at most 2D+1 nodes already meets the dilation bound on its own),
     // construct, and map back.
     let small_cap = (2 * tree.depth_of_tree() + 1) as usize;
+    let skip_small = cfg.mst.skip_small_fragments;
     let in_tree: Vec<PartId> = partition
         .iter()
         .filter(|(_, nodes)| tree.contains(nodes[0]) && (!skip_small || nodes.len() > small_cap))
         .map(|(p, _)| p)
         .collect();
     if in_tree.is_empty() {
-        return Shortcut::empty(k);
+        return (Shortcut::empty(k), free);
     }
     let sub_parts: Vec<Vec<NodeId>> = in_tree
         .iter()
         .map(|&p| partition.part(p).to_vec())
         .collect();
     let sub = Partition::from_parts(g, sub_parts).expect("sub-partition stays valid");
-    let sub_shortcut = match provider {
-        ShortcutProvider::MinorSweepOracle(sc) => full_shortcut(g, tree, &sub, sc).shortcut,
-        ShortcutProvider::MinorSweepDistributed(sc, dc) => {
-            let res = distributed_full_shortcut(g, root, &sub, sc, dc);
-            rounds.construction += res.rounds;
-            *messages += res.messages;
-            *bits += res.bits;
-            res.shortcut
+    let (sub_shortcut, cost) = match backend.dist_config() {
+        None => (full_shortcut(g, tree, &sub, &cfg.shortcut).shortcut, free),
+        Some(dist) => {
+            let res = distributed_full_shortcut(g, root, &sub, &cfg.shortcut, &dist);
+            let cost = ConstructionStats {
+                rounds: res.rounds,
+                messages: res.messages,
+                bits: res.bits,
+            };
+            (res.shortcut, cost)
         }
-        _ => unreachable!("handled above"),
     };
     let mut shortcut = Shortcut::empty(k);
     for (si, &orig) in in_tree.iter().enumerate() {
         shortcut.set_edges(orig, sub_shortcut.edges_for(PartId(si as u32)).to_vec());
     }
-    shortcut
+    (shortcut, cost)
 }
 
 /// Packs `(weight, edge)` so that `min` over `u64` picks the lightest edge
@@ -205,7 +180,9 @@ fn unpack(p: u64) -> EdgeId {
     EdgeId((p & 0xffff_ffff) as u32)
 }
 
-/// Distributed Boruvka over shortcuts.
+/// Distributed Boruvka over shortcuts, with its part-wise aggregations on
+/// simulator `sim` (MST and connectivity pass [`SessionConfig::mst_sim`],
+/// min-cut passes [`SessionConfig::mincut_sim`]).
 ///
 /// Returns the exact minimum spanning forest (per the `(weight, edge-id)`
 /// tie-break) together with simulated round counts. `root` is the BFS-tree
@@ -215,11 +192,13 @@ fn unpack(p: u64) -> EdgeId {
 ///
 /// Panics if `g` is empty, a weight exceeds `2³¹ - 1`, or the phase cap is
 /// hit (indicates a bug — expected phases are `O(log n)`).
-pub fn distributed_mst(
+pub(crate) fn boruvka(
     g: &Graph,
     weights: &EdgeWeights,
     root: NodeId,
-    cfg: &BoruvkaConfig,
+    provider: &ShortcutProvider,
+    cfg: &SessionConfig,
+    sim: SimConfig,
 ) -> MstReport {
     let n = g.num_nodes();
     assert!(n > 0, "empty graph");
@@ -227,10 +206,20 @@ pub fn distributed_mst(
         assert!(w < (1 << 31), "weights must fit in 31 bits");
     }
     let max_phases = cfg
+        .mst
         .max_phases
         .unwrap_or(4 * (usize::BITS - n.leading_zeros()) as usize + 16);
     let tree = lcs_graph::bfs::bfs_tree(g, root);
-    let mut rng = SmallRng::seed_from_u64(cfg.seed);
+    let mut rng = SmallRng::seed_from_u64(cfg.mst.seed);
+    let aggregate =
+        |partition: &Partition, participation: &ParticipationMap, values: &[u64], op| {
+            AggregateOp {
+                values,
+                op,
+                leaders: None,
+            }
+            .run_with(g, partition, participation, &cfg.aggregate, sim)
+        };
 
     // Fragment state (centralized bookkeeping of the distributed state).
     let mut fragment_of: Vec<u32> = (0..n as u32).collect();
@@ -247,7 +236,7 @@ pub fn distributed_mst(
             members.entry(fragment_of[v.index()]).or_default().push(v);
         }
         let frag_ids: Vec<u32> = members.keys().copied().collect();
-        let parts: Vec<Vec<NodeId>> = members.values().cloned().collect();
+        let parts: Vec<Vec<NodeId>> = members.into_values().collect();
         let k = parts.len();
         let partition = Partition::from_parts(g, parts).expect("fragments stay connected");
         let frag_index = |fid: u32| frag_ids.binary_search(&fid).expect("known fragment");
@@ -279,28 +268,14 @@ pub fn distributed_mst(
 
         // Shortcuts for the fragments (only parts inside the BFS tree's
         // component can be served; on connected graphs that is everything).
-        let shortcut = provide_shortcuts(
-            g,
-            &tree,
-            root,
-            &partition,
-            &cfg.provider,
-            cfg.skip_small_fragments,
-            &mut rounds,
-            &mut messages,
-            &mut bits,
-        );
+        let (shortcut, cost) = provide_shortcuts(g, &tree, root, &partition, provider, cfg);
+        rounds.construction += cost.rounds;
+        messages += cost.messages;
+        bits += cost.bits;
+        let participation = ParticipationMap::build(g, &partition, &shortcut);
 
         // MWOE aggregation per fragment.
-        let agg = solve_partwise(
-            g,
-            &partition,
-            &shortcut,
-            &local,
-            AggOp::Min,
-            None,
-            &cfg.partwise,
-        );
+        let agg = aggregate(&partition, &participation, &local, AggOp::Min);
         rounds.aggregation += agg.metrics.rounds;
         messages += agg.metrics.messages;
         bits += agg.metrics.bits;
@@ -315,9 +290,9 @@ pub fn distributed_mst(
                 continue; // no outgoing edge: fragment is a finished component
             }
             let e = unpack(p);
-            if !mst.contains(&e) {
-                mst.push(e); // every MWOE is safe by the cut property
-            }
+            // Every MWOE is safe by the cut property; an edge chosen by
+            // both its fragments is deduplicated after the loop.
+            mst.push(e);
             let (u, v) = g.endpoints(e);
             let (fu, fv) = (fragment_of[u.index()], fragment_of[v.index()]);
             let my = frag_ids[i];
@@ -345,34 +320,26 @@ pub fn distributed_mst(
                 notify[inside.index()] = u64::from(*target) + 1;
             }
         }
-        let note = solve_partwise(
-            g,
-            &partition,
-            &shortcut,
-            &notify,
-            AggOp::Max,
-            None,
-            &cfg.partwise,
-        );
+        let note = aggregate(&partition, &participation, &notify, AggOp::Max);
         rounds.notification += note.metrics.rounds;
         messages += note.metrics.messages;
         bits += note.metrics.bits;
 
-        // Apply merges.
-        for (i, fid) in frag_ids.iter().enumerate() {
-            let Some(res) = note.results[i] else { continue };
-            if res > 0 {
-                let target = (res - 1) as u32;
-                for v in g.nodes() {
-                    if fragment_of[v.index()] == *fid {
-                        fragment_of[v.index()] = target;
-                    }
-                }
+        // Apply merges in one pass over a fragment-id remap. Only tails
+        // merge, and always into a head, so no merge chains exist.
+        let mut remap: Vec<u32> = (0..n as u32).collect();
+        for (i, &fid) in frag_ids.iter().enumerate() {
+            if let Some(res @ 1..) = note.results[i] {
+                remap[fid as usize] = (res - 1) as u32;
             }
+        }
+        for f in &mut fragment_of {
+            *f = remap[*f as usize];
         }
     }
 
     mst.sort_unstable();
+    mst.dedup();
     let total_weight = weights.total(mst.iter().copied());
     MstReport {
         edges: mst,
@@ -387,11 +354,8 @@ pub fn distributed_mst(
 /// Distributed Boruvka MST as a session-drivable operation
 /// ([`PartwiseOp`]): the session supplies graph, root, the edge weights
 /// (the `Weights` input — set via the builder's `.weights(..)` or
-/// `session.set_weights(..)`), and the shortcut provider matching its
-/// backend (centralized oracle for [`Backend::Centralized`], the simulated
-/// Theorem 1.5 construction for [`Backend::Distributed`] /
-/// [`Backend::Sketch`]); per-phase fragment partitions are built by the
-/// algorithm itself.
+/// `session.set_weights(..)`), and its backend as the shortcut provider;
+/// per-phase fragment partitions are built by the algorithm itself.
 ///
 /// The [`MstReport`] is cached as a weight-scoped session artifact
 /// (`deps::WEIGHTED`): repeated calls reuse it until the weights (or
@@ -404,61 +368,63 @@ impl PartwiseOp for MstOp {
 
     fn run(self, session: &mut ShortcutSession<'_>) -> OpReport<MstReport> {
         let report = session.op_artifact_with(deps::WEIGHTED, |s| {
-            let cfg = boruvka_config_of(s);
-            distributed_mst(s.graph(), s.weights(), s.root(), &cfg)
+            let provider = ShortcutProvider::Backend(s.backend().clone());
+            self.run_on(s.graph(), s.weights(), s.root(), &provider, s.config())
         });
-        let cfg = boruvka_config_of(session);
-        op_report(session.graph(), &cfg, (*report).clone())
+        let sim = session.config().mst_sim();
+        let rounds = report.rounds.total();
+        op_report(
+            session.graph(),
+            sim,
+            rounds,
+            report.messages,
+            report.bits,
+            (*report).clone(),
+        )
     }
 }
 
-/// Assembles the legacy [`BoruvkaConfig`] from a session's backend and
-/// [`SessionConfig`](lcs_core::session::SessionConfig) knobs.
-pub fn boruvka_config_of(session: &ShortcutSession<'_>) -> BoruvkaConfig {
-    let sc = session.config();
-    let provider = match session.backend() {
-        Backend::Centralized => ShortcutProvider::MinorSweepOracle(sc.shortcut),
-        Backend::Distributed(sim) => ShortcutProvider::MinorSweepDistributed(
-            sc.shortcut,
-            DistConfig {
-                mode: DistMode::Exact,
-                sim: *sim,
-            },
-        ),
-        Backend::Sketch(dist) => ShortcutProvider::MinorSweepDistributed(sc.shortcut, *dist),
-    };
-    BoruvkaConfig {
-        provider,
-        partwise: PartwiseConfig {
-            delay_range: sc.aggregate.delay_range,
-            seed: sc.aggregate.seed,
-            sim: sc.mst_sim(),
-        },
-        seed: sc.mst.seed,
-        max_phases: sc.mst.max_phases,
-        skip_small_fragments: sc.mst.skip_small_fragments,
+impl MstOp {
+    /// Runs Boruvka over explicit inputs (the non-session path):
+    /// `provider` supplies each phase's shortcuts, `cfg.mst` the seed,
+    /// phase cap and small-fragment policy, and the part-wise aggregations
+    /// run with `cfg.aggregate` on [`SessionConfig::mst_sim`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `g` is empty, a weight exceeds `2³¹ - 1`, or the phase
+    /// cap is hit (indicates a bug — expected phases are `O(log n)`).
+    pub fn run_on(
+        &self,
+        g: &Graph,
+        weights: &EdgeWeights,
+        root: NodeId,
+        provider: &ShortcutProvider,
+        cfg: &SessionConfig,
+    ) -> MstReport {
+        boruvka(g, weights, root, provider, cfg, cfg.mst_sim())
     }
 }
 
-/// Resolves `(effective threads, bandwidth bits)` — the execution
-/// configuration an [`OpReport`] records — for a simulator setting on `g`.
-pub(crate) fn exec_config(g: &Graph, sim: lcs_congest::SimConfig) -> (usize, usize) {
-    let s = lcs_congest::Simulator::new(g, sim);
-    (s.effective_threads(), s.bandwidth_bits())
-}
-
-/// Wraps an [`MstReport`] into the uniform [`OpReport`], resolving the
-/// execution configuration from the Boruvka simulator settings.
-pub(crate) fn op_report(g: &Graph, cfg: &BoruvkaConfig, report: MstReport) -> OpReport<MstReport> {
-    let (threads, bandwidth_bits) = exec_config(g, cfg.partwise.sim);
+/// Assembles the uniform [`OpReport`] of a multi-run op, resolving the
+/// execution configuration it records from the simulator setting `sim`.
+pub(crate) fn op_report<T>(
+    g: &Graph,
+    sim: SimConfig,
+    rounds: u64,
+    messages: u64,
+    bits: u64,
+    result: T,
+) -> OpReport<T> {
+    let s = Simulator::new(g, sim);
     OpReport {
-        rounds: report.rounds.total(),
-        messages: report.messages,
-        bits: report.bits,
+        rounds,
+        messages,
+        bits,
         quality: None,
-        threads,
-        bandwidth_bits,
-        result: report,
+        threads: s.effective_threads(),
+        bandwidth_bits: s.bandwidth_bits(),
+        result,
     }
 }
 
@@ -467,15 +433,22 @@ mod tests {
     use super::*;
     use lcs_graph::gen;
 
-    fn check_matches_kruskal(g: &Graph, seed: u64, cfg: &BoruvkaConfig) {
+    fn mst(g: &Graph, weights: &EdgeWeights, provider: ShortcutProvider) -> MstReport {
+        MstOp.run_on(g, weights, NodeId(0), &provider, &SessionConfig::default())
+    }
+
+    fn check_matches_kruskal(g: &Graph, seed: u64, provider: ShortcutProvider) -> MstReport {
         let mut rng = SmallRng::seed_from_u64(seed);
         let w = EdgeWeights::random_unique(g, &mut rng);
         let reference = kruskal(g, &w);
-        let report = distributed_mst(g, &w, NodeId(0), cfg);
+        let report = mst(g, &w, provider);
         assert_eq!(report.edges, reference, "MST edge sets differ");
         assert_eq!(report.total_weight, w.total(reference));
         assert!(report.phases >= 1);
+        report
     }
+
+    const CENTRALIZED: ShortcutProvider = ShortcutProvider::Backend(Backend::Centralized);
 
     #[test]
     fn kruskal_on_path_takes_all_edges() {
@@ -487,50 +460,32 @@ mod tests {
     #[test]
     fn matches_kruskal_on_grid() {
         let g = gen::grid(7, 7);
-        check_matches_kruskal(&g, 11, &BoruvkaConfig::default());
+        check_matches_kruskal(&g, 11, CENTRALIZED);
     }
 
     #[test]
     fn matches_kruskal_on_torus() {
         let g = gen::torus(5, 5);
-        check_matches_kruskal(&g, 12, &BoruvkaConfig::default());
+        check_matches_kruskal(&g, 12, CENTRALIZED);
     }
 
     #[test]
     fn matches_kruskal_with_baseline_provider() {
         let g = gen::grid(6, 6);
-        let cfg = BoruvkaConfig {
-            provider: ShortcutProvider::Baseline,
-            ..BoruvkaConfig::default()
-        };
-        check_matches_kruskal(&g, 13, &cfg);
+        check_matches_kruskal(&g, 13, ShortcutProvider::Baseline);
     }
 
     #[test]
     fn matches_kruskal_with_no_shortcuts() {
         let g = gen::wheel(20);
-        let cfg = BoruvkaConfig {
-            provider: ShortcutProvider::None,
-            ..BoruvkaConfig::default()
-        };
-        check_matches_kruskal(&g, 14, &cfg);
+        check_matches_kruskal(&g, 14, ShortcutProvider::None);
     }
 
     #[test]
     fn matches_kruskal_with_distributed_construction() {
         let g = gen::grid(6, 6);
-        let cfg = BoruvkaConfig {
-            provider: ShortcutProvider::MinorSweepDistributed(
-                ShortcutConfig::default(),
-                DistConfig::default(),
-            ),
-            ..BoruvkaConfig::default()
-        };
-        let mut rng = SmallRng::seed_from_u64(15);
-        let w = EdgeWeights::random_unique(&g, &mut rng);
-        let reference = kruskal(&g, &w);
-        let report = distributed_mst(&g, &w, NodeId(0), &cfg);
-        assert_eq!(report.edges, reference);
+        let provider = ShortcutProvider::Backend(Backend::Distributed(SimConfig::default()));
+        let report = check_matches_kruskal(&g, 15, provider);
         assert!(report.rounds.construction > 0);
     }
 
@@ -538,7 +493,7 @@ mod tests {
     fn spanning_forest_on_disconnected_graph() {
         let g = Graph::from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5), (3, 5)]);
         let w = EdgeWeights::unit(&g);
-        let report = distributed_mst(&g, &w, NodeId(0), &BoruvkaConfig::default());
+        let report = mst(&g, &w, CENTRALIZED);
         // Forest: 2 + 2 edges.
         assert_eq!(report.edges.len(), 4);
         assert_eq!(report.edges, kruskal(&g, &w));
@@ -548,10 +503,8 @@ mod tests {
     fn single_node_graph() {
         let g = Graph::from_edges(1, []);
         let w = EdgeWeights::unit(&g);
-        let report = distributed_mst(&g, &w, NodeId(0), &BoruvkaConfig::default());
+        let report = mst(&g, &w, CENTRALIZED);
         assert!(report.edges.is_empty());
         assert_eq!(report.phases, 0);
     }
-
-    use lcs_graph::Graph;
 }

@@ -34,21 +34,17 @@ use lcs_graph::weights::EdgeWeights;
 /// ```
 pub trait SessionAlgoOps {
     /// Exact minimum spanning forest by shortcut-based Boruvka
-    /// (Corollary 1.6; [`distributed_mst`](crate::mst::distributed_mst)
-    /// semantics). Stores `weights` as the session's `Weights` input (a
+    /// (Corollary 1.6; [`MstOp`] semantics). Stores `weights` as the session's `Weights` input (a
     /// no-op when unchanged) and caches the report until that input — or
     /// the topology / sim config — changes.
     fn mst(&mut self, weights: &EdgeWeights) -> OpReport<MstReport>;
 
-    /// Connected components by unit-weight Boruvka
-    /// ([`distributed_components`](crate::connectivity::distributed_components)
+    /// Connected components by unit-weight Boruvka ([`ComponentsOp`]
     /// semantics).
     fn components(&mut self) -> OpReport<ComponentsReport>;
 
     /// Min-cut upper bound by greedy tree packing + 1-respecting cuts
-    /// (Corollary 1.7;
-    /// [`approx_mincut_distributed`](crate::mincut::approx_mincut_distributed)
-    /// semantics).
+    /// (Corollary 1.7; [`MincutOp`] semantics).
     fn mincut(&mut self) -> OpReport<MincutReport>;
 
     /// [`mst`](Self::mst) with the weight vector validated up front: a

@@ -1,7 +1,8 @@
 //! Criterion bench: distributed Boruvka MST end to end.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use lcs_algos::mst::{distributed_mst, kruskal, BoruvkaConfig};
+use lcs_algos::mst::{kruskal, MstOp, ShortcutProvider};
+use lcs_core::session::{Backend, SessionConfig};
 use lcs_graph::weights::EdgeWeights;
 use lcs_graph::{gen, NodeId};
 use rand::rngs::SmallRng;
@@ -16,7 +17,8 @@ fn bench_mst(c: &mut Criterion) {
         let w = EdgeWeights::random_unique(&g, &mut rng);
         group.bench_with_input(BenchmarkId::new("boruvka_grid", side), &side, |b, _| {
             b.iter(|| {
-                let rep = distributed_mst(&g, &w, NodeId(0), &BoruvkaConfig::default());
+                let provider = ShortcutProvider::Backend(Backend::Centralized);
+                let rep = MstOp.run_on(&g, &w, NodeId(0), &provider, &SessionConfig::default());
                 std::hint::black_box(rep.rounds.total())
             })
         });

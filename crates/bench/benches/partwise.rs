@@ -2,9 +2,10 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lcs_congest::protocols::AggOp;
+use lcs_core::session::SessionConfig;
 use lcs_core::{full_shortcut, Partition, ShortcutConfig};
 use lcs_graph::{bfs, gen, NodeId};
-use lcs_partwise::{solve_partwise, PartwiseConfig};
+use lcs_partwise::AggregateOp;
 
 fn bench_partwise(c: &mut Criterion) {
     let mut group = c.benchmark_group("partwise_aggregation");
@@ -15,17 +16,15 @@ fn bench_partwise(c: &mut Criterion) {
         let tree = bfs::bfs_tree(&g, NodeId(0));
         let built = full_shortcut(&g, &tree, &partition, &ShortcutConfig::default());
         let values: Vec<u64> = (0..g.num_nodes() as u64).collect();
+        let op = AggregateOp {
+            values: &values,
+            op: AggOp::Min,
+            leaders: None,
+        };
+        let cfg = SessionConfig::default();
         group.bench_with_input(BenchmarkId::new("grid_rows", side), &side, |b, _| {
             b.iter(|| {
-                let out = solve_partwise(
-                    &g,
-                    &partition,
-                    &built.shortcut,
-                    &values,
-                    AggOp::Min,
-                    None,
-                    &PartwiseConfig::default(),
-                );
+                let out = op.run_on(&g, &partition, &built.shortcut, &cfg);
                 std::hint::black_box(out.metrics.rounds)
             })
         });

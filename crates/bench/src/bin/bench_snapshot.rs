@@ -26,7 +26,7 @@
 //! The partial-construction sweep and the `facade_overhead` row run
 //! through the `ShortcutSession` facade; `facade_overhead` compares served
 //! aggregation queries (warm session, cached shortcut) against the direct
-//! free-call path and **asserts** the ratio stays ≤ 1.05× — the builder
+//! `AggregateOp::run_on` path and **asserts** the ratio stays ≤ 1.05× — the builder
 //! and cache layer must be zero-cost.
 //!
 //! Every entry carries the wall time measured by this run (`wall_ms`) next
@@ -56,7 +56,7 @@ use lcs_core::dist::{DistConfig, DistMode};
 use lcs_core::session::{Backend, Session, SessionConfig, TreeSource};
 use lcs_core::{full_shortcut, Partition, ShortcutConfig, SweepOutcome, WitnessMode};
 use lcs_graph::{bfs, gen, Graph, NodeId};
-use lcs_partwise::{solve_partwise, PartwiseConfig, SessionPartwiseOps};
+use lcs_partwise::{AggregateOp, SessionPartwiseOps};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::fmt::Write as _;
@@ -385,8 +385,8 @@ fn partial_entry(
 const MAX_FACADE_OVERHEAD: f64 = 1.05;
 
 /// The zero-cost-facade guard: `K` aggregation queries served by a warm
-/// `ShortcutSession` versus the same queries through the direct free-call
-/// path with prebuilt artifacts. Asserts the ratio stays ≤
+/// `ShortcutSession` versus the same queries through the direct
+/// `AggregateOp::run_on` entry with prebuilt artifacts. Asserts the ratio stays ≤
 /// [`MAX_FACADE_OVERHEAD`] and emits it as a `facade_overhead` row.
 ///
 /// Noise hardening for the CI smoke: both paths get one untimed warm-up,
@@ -401,21 +401,19 @@ fn facade_overhead_entry(reps: usize) -> Entry {
         Partition::from_parts(&g, gen::rows_of_grid(side, side)).expect("valid partition");
     let values: Vec<u64> = (0..g.num_nodes() as u64).map(|x| (x * 37) % 1009).collect();
 
-    // Direct path: artifacts prebuilt, K solve_partwise calls per sample.
+    // Direct path: artifacts prebuilt, K `AggregateOp::run_on` calls per
+    // sample.
     let tree = bfs::bfs_tree(&g, NodeId(0));
     let built = full_shortcut(&g, &tree, &partition, &ShortcutConfig::default());
-    let pw = PartwiseConfig::default();
+    let cfg = SessionConfig::default();
+    let op = AggregateOp {
+        values: &values,
+        op: AggOp::Sum,
+        leaders: None,
+    };
     let run_direct = |g: &Graph, partition: &Partition| {
         for _ in 0..QUERIES {
-            let out = solve_partwise(
-                g,
-                partition,
-                &built.shortcut,
-                &values,
-                AggOp::Sum,
-                None,
-                &pw,
-            );
+            let out = op.run_on(g, partition, &built.shortcut, &cfg);
             assert!(out.all_members_informed);
         }
     };

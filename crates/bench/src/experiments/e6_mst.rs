@@ -8,22 +8,21 @@
 //! grids are an easy instance. Every run is checked against Kruskal.
 
 use crate::table::Table;
-use lcs_algos::mst::{distributed_mst, kruskal, BoruvkaConfig, ShortcutProvider};
-use lcs_core::ShortcutConfig;
+use lcs_algos::mst::{kruskal, MstOp, ShortcutProvider};
+use lcs_core::session::{Backend, SessionConfig};
 use lcs_graph::weights::EdgeWeights;
 use lcs_graph::{gen, Graph, NodeId};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
+/// The minor-sweep provider: the centralized Theorem 1.2 construction.
+const MINOR_SWEEP: ShortcutProvider = ShortcutProvider::Backend(Backend::Centralized);
+
 fn run_one(g: &Graph, provider: ShortcutProvider, seed: u64) -> (u64, usize, bool) {
     let mut rng = SmallRng::seed_from_u64(seed);
     let weights = EdgeWeights::random_unique(g, &mut rng);
     let reference = kruskal(g, &weights);
-    let cfg = BoruvkaConfig {
-        provider,
-        ..BoruvkaConfig::default()
-    };
-    let report = distributed_mst(g, &weights, NodeId(0), &cfg);
+    let report = MstOp.run_on(g, &weights, NodeId(0), &provider, &SessionConfig::default());
     (
         report.rounds.total(),
         report.phases,
@@ -47,11 +46,7 @@ pub fn run(fast: bool) -> String {
     };
     for &n in wheel_sizes {
         let g = gen::wheel(n);
-        let (r_sweep, _, ok1) = run_one(
-            &g,
-            ShortcutProvider::MinorSweepOracle(ShortcutConfig::default()),
-            7,
-        );
+        let (r_sweep, _, ok1) = run_one(&g, MINOR_SWEEP, 7);
         let (r_base, _, ok2) = run_one(&g, ShortcutProvider::Baseline, 7);
         let (r_none, _, ok3) = run_one(&g, ShortcutProvider::None, 7);
         t.row(vec![
@@ -84,11 +79,7 @@ pub fn run(fast: bool) -> String {
     let grid_sides: &[usize] = if fast { &[8, 12] } else { &[8, 12, 16, 24] };
     for &s in grid_sides {
         let g = gen::grid(s, s);
-        let (r_sweep, _, ok1) = run_one(
-            &g,
-            ShortcutProvider::MinorSweepOracle(ShortcutConfig::default()),
-            9,
-        );
+        let (r_sweep, _, ok1) = run_one(&g, MINOR_SWEEP, 9);
         let (r_base, _, ok2) = run_one(&g, ShortcutProvider::Baseline, 9);
         let (r_none, _, ok3) = run_one(&g, ShortcutProvider::None, 9);
         t.row(vec![

@@ -6,9 +6,8 @@
 //! cut (an upper bound on λ).
 
 use crate::table::{f2, Table};
-use lcs_algos::mincut::{
-    approx_mincut_distributed, exact_mincut_via_packing, stoer_wagner, MincutConfig,
-};
+use lcs_algos::mincut::{exact_mincut_via_packing, stoer_wagner, MincutOp};
+use lcs_core::session::{Backend, SessionConfig};
 use lcs_graph::{gen, Graph, NodeId};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -47,7 +46,12 @@ pub fn run(fast: bool) -> String {
     }
     for (name, g) in cases {
         let exact = stoer_wagner(&g);
-        let rep = approx_mincut_distributed(&g, NodeId(0), &MincutConfig::default());
+        let rep = MincutOp.run_on(
+            &g,
+            NodeId(0),
+            &Backend::Centralized,
+            &SessionConfig::default(),
+        );
         let two = exact_mincut_via_packing(&g, NodeId(0), rep.trees.max(3));
         let sound = rep.estimate >= exact && two == exact;
         t.row(vec![

@@ -353,7 +353,6 @@ impl<'g> Simulator<'g> {
                 )
             })
             .collect();
-        let (pack, budget) = (self.effective_packing(), self.bandwidth_bits());
         match self.config.mode {
             SimMode::Strict => self.drive(
                 &topo,

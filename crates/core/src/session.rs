@@ -301,6 +301,22 @@ pub enum Backend {
     Sketch(DistConfig),
 }
 
+impl Backend {
+    /// The configuration of the distributed construction this backend
+    /// runs: `None` for [`Backend::Centralized`], exact set streaming on
+    /// the given simulator for [`Backend::Distributed`].
+    pub fn dist_config(&self) -> Option<DistConfig> {
+        match self {
+            Backend::Centralized => None,
+            Backend::Distributed(sim) => Some(DistConfig {
+                mode: DistMode::Exact,
+                sim: *sim,
+            }),
+            Backend::Sketch(dist) => Some(*dist),
+        }
+    }
+}
+
 /// The five mutable inputs of the session's artifact graph. Every cached
 /// artifact declares the subset it depends on (see [`deps`]); mutating an
 /// input bumps its epoch in [`Epochs`] and thereby invalidates exactly the
@@ -469,8 +485,9 @@ enum PartitionDelta {
 /// the window rebuild from scratch instead of patching.
 const PARTITION_LOG_CAP: usize = 64;
 
-/// Per-op overrides for leader-based aggregation (absorbs the legacy
-/// `PartwiseConfig` knobs).
+/// Per-op overrides for leader-based aggregation and gossip; Boruvka's
+/// per-phase aggregations (MST, connectivity, min-cut) use the same
+/// `delay_range` and `seed`.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct AggregateOpts {
     /// Leaders delay their start uniformly in `[0, delay_range)` rounds;
@@ -492,8 +509,7 @@ impl Default for AggregateOpts {
     }
 }
 
-/// Per-op overrides for multi-unicast routing (absorbs the legacy
-/// `UnicastConfig` knobs).
+/// Per-op overrides for multi-unicast routing.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct UnicastOpts {
     /// Packets start after a uniform random delay in `[0, delay_range)`.
@@ -514,9 +530,9 @@ impl Default for UnicastOpts {
     }
 }
 
-/// Per-op overrides for Boruvka MST / connectivity (absorbs the legacy
-/// `BoruvkaConfig` knobs; the shortcut provider is derived from the
-/// session's [`Backend`]).
+/// Per-op overrides for Boruvka MST / connectivity (the shortcut
+/// provider is the session's [`Backend`]). Min-cut's packed trees use the
+/// same seed, phase cap and small-fragment policy.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct MstOpts {
     /// Seed for the merge coin flips.
@@ -541,8 +557,7 @@ impl Default for MstOpts {
     }
 }
 
-/// Per-op overrides for the min-cut approximation (absorbs the legacy
-/// `MincutConfig` knobs).
+/// Per-op overrides for the min-cut approximation.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct MincutOpts {
     /// Number of trees to pack; `None` = `min(min_degree, 2·⌈ln n⌉ + 4)`.
@@ -553,9 +568,9 @@ pub struct MincutOpts {
 
 /// Every knob of the facade in one serde-able struct: shortcut-construction
 /// parameters, the session-wide simulator configuration, and per-op
-/// override blocks. This collapses the legacy `PartwiseConfig` /
-/// `UnicastConfig` / `BoruvkaConfig` / `MincutConfig` constellation into a
-/// single value a service can load from disk.
+/// override blocks — a single value a service can load from disk. It is
+/// the one config schema of every op: the session path and each op's
+/// direct `run_on` entry read the same fields.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct SessionConfig {
     /// Theorem 3.1 construction constants and witness policy.
@@ -1023,16 +1038,6 @@ impl<'g> ShortcutSession<'g> {
     /// incremental-recustomization tallies.
     pub fn cache_stats(&self) -> &CacheStats {
         &self.stats
-    }
-
-    /// Number of shortcut constructions this session actually performed
-    /// (full builds plus one per distinct partial `δ̂`; incremental
-    /// re-customizations do not count).
-    #[deprecated(
-        note = "use cache_stats() — this equals cache_stats().full.builds + cache_stats().partials.builds"
-    )]
-    pub fn constructions(&self) -> usize {
-        (self.stats.full.builds + self.stats.partials.builds) as usize
     }
 
     /// Replaces the partition wholesale, validating the raw node lists,
@@ -1637,8 +1642,8 @@ impl<'g> ShortcutSession<'g> {
             self.stats.full.invalidations += 1;
             self.full = None;
         }
-        let artifact = match self.backend.clone() {
-            Backend::Centralized => {
+        let artifact = match self.backend.dist_config() {
+            None => {
                 self.ensure_tree();
                 let res = full_shortcut(
                     self.g,
@@ -1653,14 +1658,7 @@ impl<'g> ShortcutSession<'g> {
                     construction: ConstructionStats::default(),
                 }
             }
-            Backend::Distributed(sim) => {
-                let dist = DistConfig {
-                    mode: DistMode::Exact,
-                    sim,
-                };
-                self.full_from_dist(&dist)
-            }
-            Backend::Sketch(dist) => self.full_from_dist(&dist),
+            Some(dist) => self.full_from_dist(&dist),
         };
         self.stats.full.builds += 1;
         self.full = Some(Slot::new(artifact, self.epochs));
@@ -1826,8 +1824,8 @@ impl<'g> ShortcutSession<'g> {
     }
 
     fn build_partial(&mut self, delta_hat: u32) -> PartialArtifact {
-        match self.backend.clone() {
-            Backend::Centralized => {
+        match self.backend.dist_config() {
+            None => {
                 self.ensure_tree();
                 let outcome = partial_shortcut_or_witness(
                     self.g,
@@ -1857,14 +1855,7 @@ impl<'g> ShortcutSession<'g> {
                     },
                 }
             }
-            Backend::Distributed(sim) => self.partial_from_dist(
-                delta_hat,
-                &DistConfig {
-                    mode: DistMode::Exact,
-                    sim,
-                },
-            ),
-            Backend::Sketch(dist) => self.partial_from_dist(delta_hat, &dist),
+            Some(dist) => self.partial_from_dist(delta_hat, &dist),
         }
     }
 
@@ -1892,10 +1883,15 @@ impl<'g> ShortcutSession<'g> {
 
 #[cfg(test)]
 mod tests {
-    #![allow(deprecated)]
-
     use super::*;
     use lcs_graph::gen;
+
+    /// Shortcut constructions a session performed: full builds plus one
+    /// per distinct partial `δ̂` (incremental re-customizations do not
+    /// count).
+    fn constructions(s: &ShortcutSession<'_>) -> u64 {
+        s.cache_stats().full.builds + s.cache_stats().partials.builds
+    }
 
     fn grid_session(side: usize) -> ShortcutSession<'static> {
         // Leak the graph for 'static test sessions (tests only).
@@ -1910,17 +1906,17 @@ mod tests {
     #[test]
     fn builder_is_lazy_and_artifacts_cache() {
         let mut s = grid_session(8);
-        assert_eq!(s.constructions(), 0, "build() must not construct");
+        assert_eq!(constructions(&s), 0, "build() must not construct");
         let dh = s.delta_hat();
         assert_eq!(dh, 1);
-        assert_eq!(s.constructions(), 1);
+        assert_eq!(constructions(&s), 1);
         // Every later access is served from the cache.
         let edges_a = s.shortcut().total_edges();
         let edges_b = s.shortcut().total_edges();
         assert_eq!(edges_a, edges_b);
         let _ = s.quality();
         let _ = s.witness();
-        assert_eq!(s.constructions(), 1);
+        assert_eq!(constructions(&s), 1);
         assert_eq!(s.cache_stats().full.builds, 1);
         assert!(s.cache_stats().full.hits >= 3);
         assert_eq!(s.cache_stats().full.invalidations, 0);
@@ -1934,7 +1930,7 @@ mod tests {
         assert_eq!(d1, d2);
         let db = s.diameter();
         assert!(db.lower <= db.upper);
-        assert_eq!(s.constructions(), 0, "tree/diameter are not constructions");
+        assert_eq!(constructions(&s), 0, "tree/diameter are not constructions");
         assert_eq!(s.cache_stats().tree.builds, 1);
         assert_eq!(s.cache_stats().tree.hits, 1);
         assert_eq!(s.cache_stats().diameter.builds, 1);
@@ -1944,12 +1940,12 @@ mod tests {
     fn partials_cache_per_delta_hat() {
         let mut s = grid_session(8);
         let served1 = s.partial(1).served.len();
-        assert_eq!(s.constructions(), 1);
+        assert_eq!(constructions(&s), 1);
         let served1_again = s.partial(1).served.len();
         assert_eq!(served1, served1_again);
-        assert_eq!(s.constructions(), 1, "same δ̂ reuses the cache");
+        assert_eq!(constructions(&s), 1, "same δ̂ reuses the cache");
         let _ = s.partial(2);
-        assert_eq!(s.constructions(), 2, "a new δ̂ constructs once");
+        assert_eq!(constructions(&s), 2, "a new δ̂ constructs once");
         assert_eq!(s.cache_stats().partials.builds, 2);
         assert_eq!(s.cache_stats().partials.hits, 1);
     }
@@ -1990,7 +1986,7 @@ mod tests {
             .unwrap();
         assert_eq!(served.shortcut(), &sc);
         assert_eq!(served.delta_hat(), 0, "provided shortcuts have unknown δ̂");
-        assert_eq!(served.constructions(), 0);
+        assert_eq!(constructions(&served), 0);
     }
 
     #[test]
@@ -2004,7 +2000,7 @@ mod tests {
             .build()
             .unwrap();
         let _ = s.shortcut(); // the provided tree IS the protocol's tree
-        assert_eq!(s.constructions(), 1);
+        assert_eq!(constructions(&s), 1);
     }
 
     #[test]
@@ -2069,7 +2065,7 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b), "one shared allocation");
         assert_eq!(a.0, 36 + 6 + 6);
         // Accessing the artifact forced the full shortcut exactly once.
-        assert_eq!(s.constructions(), 1);
+        assert_eq!(constructions(&s), 1);
         assert_eq!(s.cache_stats().op_artifacts.builds, 1);
         assert_eq!(s.cache_stats().op_artifacts.hits, 1);
     }
@@ -2272,20 +2268,18 @@ mod tests {
         let a = s.quality_shared().expect("session has a partition");
         let b = s.quality_shared().expect("session has a partition");
         assert!(Arc::ptr_eq(&a, &b), "reports share the cached allocation");
-        assert_eq!(s.constructions(), 1);
+        assert_eq!(constructions(&s), 1);
     }
 
     #[test]
-    fn constructions_wrapper_matches_cache_stats() {
+    fn shortcut_and_each_partial_count_as_one_build() {
         let mut s = grid_session(8);
         let _ = s.shortcut();
         let _ = s.partial(1);
         let _ = s.partial(2);
-        assert_eq!(
-            s.constructions() as u64,
-            s.cache_stats().full.builds + s.cache_stats().partials.builds
-        );
-        assert_eq!(s.constructions(), 3);
+        assert_eq!(s.cache_stats().full.builds, 1);
+        assert_eq!(s.cache_stats().partials.builds, 2);
+        assert_eq!(constructions(&s), 3);
     }
 
     #[test]

@@ -5,41 +5,16 @@ use lcs_congest::protocols::AggOp;
 use lcs_congest::{
     id_bits, Ctx, Incoming, MessageSize, NodeProgram, RunMetrics, SimConfig, SimMode, Simulator,
 };
-use lcs_core::session::{deps, OpReport, PartwiseOp, ShortcutSession};
+use lcs_core::session::{
+    deps, AggregateOpts, OpReport, PartwiseOp, SessionConfig, ShortcutSession,
+};
 use lcs_core::{Partition, Shortcut};
 use lcs_graph::{Graph, NodeId, PartId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
-/// Configuration of the distributed solver.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct PartwiseConfig {
-    /// Leaders delay their start uniformly in `[0, delay_range)` rounds —
-    /// the random-delays smoothing; `0` disables delays.
-    pub delay_range: u32,
-    /// Seed for delays.
-    pub seed: u64,
-    /// Simulator settings; the mode is forced to
-    /// [`Queued`](lcs_congest::SimMode::Queued) because several protocol
-    /// instances share edges. [`SimConfig::threads`] flows through to the
-    /// sharded round executor — results and metrics are identical at any
-    /// thread count.
-    pub sim: SimConfig,
-}
-
-impl Default for PartwiseConfig {
-    fn default() -> Self {
-        PartwiseConfig {
-            delay_range: 0,
-            seed: 0xde1af,
-            sim: SimConfig::default(),
-        }
-    }
-}
-
-/// Result of [`solve_partwise`].
+/// Result of [`AggregateOp`].
 #[derive(Clone, Debug)]
 pub struct PartwiseOutcome {
     /// Aggregate per part as known by its leader (`None` if the leader never
@@ -65,8 +40,9 @@ pub struct PartwiseOutcome {
 /// later aggregate/gossip call reuses it while the partition and shortcut
 /// are unchanged, a tracked `reassign_parts` churn refreshes only the
 /// touched parts' entries via [`ParticipationMap::refreshed`], and a
-/// wholesale partition change rebuilds it. The legacy free functions build
-/// a fresh one per call.
+/// wholesale partition change rebuilds it. The direct entries
+/// ([`AggregateOp::run_on`], [`GossipOp::run_on`](crate::GossipOp::run_on))
+/// build a fresh one per call.
 #[derive(Clone, Debug)]
 pub struct ParticipationMap {
     per_node: Vec<HashMap<u32, Vec<usize>>>,
@@ -406,8 +382,14 @@ impl NodeProgram for PaProgram {
 ///
 /// Used in two ways: `session.run(AggregateOp { .. })` (or the facade's
 /// `session.aggregate(..)` sugar) serves it from the session's cached
-/// shortcut; the legacy [`solve_partwise`] free function runs it over
-/// explicitly supplied artifacts.
+/// shortcut; [`AggregateOp::run_on`] runs it over explicitly supplied
+/// artifacts. Both read the same [`SessionConfig`] fields: the
+/// `aggregate` block and [`SessionConfig::aggregate_sim`].
+///
+/// `leaders[i]`, when given, must be a member of part `i`; by default the
+/// minimum-id member leads. Every part's subgraph must be connected for the
+/// run to complete (a disconnected part simply never finishes and is
+/// reported as uninformed).
 #[derive(Clone, Copy, Debug)]
 pub struct AggregateOp<'a> {
     /// One value per node.
@@ -435,19 +417,21 @@ impl PartwiseOp for AggregateOp<'_> {
             },
         );
         let sc = session.config();
-        let cfg = PartwiseConfig {
-            delay_range: sc.aggregate.delay_range,
-            seed: sc.aggregate.seed,
-            sim: sc.aggregate_sim(),
-        };
-        let out = self.run_with(session.graph(), session.partition(), &cfg, &participation);
+        let out = self.run_with(
+            session.graph(),
+            session.partition(),
+            &participation,
+            &sc.aggregate,
+            sc.aggregate_sim(),
+        );
         let metrics = out.metrics.clone();
         OpReport::from_metrics(out, &metrics, quality)
     }
 }
 
 impl AggregateOp<'_> {
-    /// Runs the protocol over explicit artifacts (the non-session path).
+    /// Runs the protocol over explicit artifacts (the non-session path),
+    /// configured by `cfg.aggregate` on [`SessionConfig::aggregate_sim`].
     ///
     /// # Panics
     ///
@@ -459,20 +443,34 @@ impl AggregateOp<'_> {
         g: &Graph,
         partition: &Partition,
         shortcut: &Shortcut,
-        cfg: &PartwiseConfig,
+        cfg: &SessionConfig,
     ) -> PartwiseOutcome {
         let participation = ParticipationMap::build(g, partition, shortcut);
-        self.run_with(g, partition, cfg, &participation)
+        self.run_with(
+            g,
+            partition,
+            &participation,
+            &cfg.aggregate,
+            cfg.aggregate_sim(),
+        )
     }
 
-    /// Runs the protocol over a prebuilt [`ParticipationMap`] — the path
-    /// the session ops take with the cached map.
-    fn run_with(
+    /// Runs the protocol over a prebuilt [`ParticipationMap`] with the
+    /// aggregation knobs `opts` on simulator `sim` (its mode is forced to
+    /// [`Queued`](SimMode::Queued): several part instances share edges).
+    /// The session path passes its cached map; Boruvka's phases pass
+    /// `SessionConfig::aggregate` with the MST or min-cut simulator.
+    ///
+    /// # Panics
+    ///
+    /// Panics like [`run_on`](Self::run_on).
+    pub fn run_with(
         &self,
         g: &Graph,
         partition: &Partition,
-        cfg: &PartwiseConfig,
         participation: &ParticipationMap,
+        opts: &AggregateOpts,
+        sim: SimConfig,
     ) -> PartwiseOutcome {
         let (values, op, leaders) = (self.values, self.op, self.leaders);
         assert_eq!(values.len(), g.num_nodes(), "one value per node");
@@ -492,20 +490,20 @@ impl AggregateOp<'_> {
         }
 
         // Random delays per part.
-        let mut rng = SmallRng::seed_from_u64(cfg.seed);
+        let mut rng = SmallRng::seed_from_u64(opts.seed);
         let delays: Vec<u32> = (0..k)
             .map(|_| {
-                if cfg.delay_range == 0 {
+                if opts.delay_range == 0 {
                     0
                 } else {
-                    rng.gen_range(0..cfg.delay_range)
+                    rng.gen_range(0..opts.delay_range)
                 }
             })
             .collect();
 
         let sim_cfg = SimConfig {
             mode: SimMode::Queued,
-            ..cfg.sim
+            ..sim
         };
         let sim = Simulator::new(g, sim_cfg);
         let run = sim.run(|v, _| {
@@ -585,37 +583,6 @@ impl AggregateOp<'_> {
     }
 }
 
-/// Solves part-wise aggregation distributedly over `G[P_i] + H_i` —
-/// the legacy free-function surface, now a one-line wrapper over
-/// [`AggregateOp::run_on`]. For repeated queries on one topology prefer a
-/// [`ShortcutSession`], which caches the shortcut between calls.
-///
-/// `leaders[i]`, when given, must be a member of part `i`; by default the
-/// minimum-id member leads. Every part's subgraph must be connected for the
-/// run to complete (a disconnected part simply never finishes and is
-/// reported as uninformed).
-///
-/// # Panics
-///
-/// Panics if `values.len() != g.num_nodes()`, a leader is not a member of
-/// its part, or the shortcut's shape differs from the partition's.
-pub fn solve_partwise(
-    g: &Graph,
-    partition: &Partition,
-    shortcut: &Shortcut,
-    values: &[u64],
-    op: AggOp,
-    leaders: Option<&[NodeId]>,
-    cfg: &PartwiseConfig,
-) -> PartwiseOutcome {
-    AggregateOp {
-        values,
-        op,
-        leaders,
-    }
-    .run_on(g, partition, shortcut, cfg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -635,15 +602,12 @@ mod tests {
         let (g, partition, shortcut) = grid_setup(8);
         let values: Vec<u64> = (0..g.num_nodes() as u64).map(|x| (x * 37) % 101).collect();
         for op in [AggOp::Min, AggOp::Max, AggOp::Sum] {
-            let out = solve_partwise(
-                &g,
-                &partition,
-                &shortcut,
-                &values,
+            let out = AggregateOp {
+                values: &values,
                 op,
-                None,
-                &PartwiseConfig::default(),
-            );
+                leaders: None,
+            }
+            .run_on(&g, &partition, &shortcut, &SessionConfig::default());
             assert!(out.metrics.terminated);
             assert!(out.all_members_informed);
             let expect = crate::centralized_aggregate(&partition, &values, op);
@@ -657,24 +621,18 @@ mod tests {
         let (g, partition, shortcut) = grid_setup(8);
         let empty = baseline::no_shortcut(&partition);
         let values: Vec<u64> = (0..g.num_nodes() as u64).collect();
-        let with = solve_partwise(
-            &g,
-            &partition,
-            &shortcut,
-            &values,
-            AggOp::Sum,
-            None,
-            &PartwiseConfig::default(),
-        );
-        let without = solve_partwise(
-            &g,
-            &partition,
-            &empty,
-            &values,
-            AggOp::Sum,
-            None,
-            &PartwiseConfig::default(),
-        );
+        let with = AggregateOp {
+            values: &values,
+            op: AggOp::Sum,
+            leaders: None,
+        }
+        .run_on(&g, &partition, &shortcut, &SessionConfig::default());
+        let without = AggregateOp {
+            values: &values,
+            op: AggOp::Sum,
+            leaders: None,
+        }
+        .run_on(&g, &partition, &empty, &SessionConfig::default());
         assert!(with.all_members_informed && without.all_members_informed);
         assert_eq!(with.results, without.results);
         // On short row parts the shortcut brings no speedup (the rows are
@@ -693,23 +651,22 @@ mod tests {
         let built = full_shortcut(&g, &tree, &partition, &ShortcutConfig::default());
         let values: Vec<u64> = (0..n as u64).collect();
 
-        let with = solve_partwise(
-            &g,
-            &partition,
-            &built.shortcut,
-            &values,
-            AggOp::Max,
-            None,
-            &PartwiseConfig::default(),
-        );
-        let without = solve_partwise(
+        let with = AggregateOp {
+            values: &values,
+            op: AggOp::Max,
+            leaders: None,
+        }
+        .run_on(&g, &partition, &built.shortcut, &SessionConfig::default());
+        let without = AggregateOp {
+            values: &values,
+            op: AggOp::Max,
+            leaders: None,
+        }
+        .run_on(
             &g,
             &partition,
             &baseline::no_shortcut(&partition),
-            &values,
-            AggOp::Max,
-            None,
-            &PartwiseConfig::default(),
+            &SessionConfig::default(),
         );
         assert_eq!(with.results[0], Some(n as u64 - 1));
         assert_eq!(without.results[0], Some(n as u64 - 1));
@@ -730,15 +687,12 @@ mod tests {
         let far = g.find_edge(NodeId(4), NodeId(5)).unwrap();
         let s = Shortcut::from_edge_lists(vec![vec![far]]);
         let values = vec![1; 6];
-        let out = solve_partwise(
-            &g,
-            &partition,
-            &s,
-            &values,
-            AggOp::Sum,
-            None,
-            &PartwiseConfig::default(),
-        );
+        let out = AggregateOp {
+            values: &values,
+            op: AggOp::Sum,
+            leaders: None,
+        }
+        .run_on(&g, &partition, &s, &SessionConfig::default());
         // The members finish (their side is connected) and the run quiesces
         // early, but the relay island never hears an offer, so the run does
         // not count as fully terminated.
@@ -756,16 +710,21 @@ mod tests {
             .map(|(_, nodes)| *nodes.last().unwrap())
             .collect();
         let values = vec![3u64; g.num_nodes()];
-        let out = solve_partwise(
+        let out = AggregateOp {
+            values: &values,
+            op: AggOp::Sum,
+            leaders: Some(&leaders),
+        }
+        .run_on(
             &g,
             &partition,
             &shortcut,
-            &values,
-            AggOp::Sum,
-            Some(&leaders),
-            &PartwiseConfig {
-                delay_range: 8,
-                ..PartwiseConfig::default()
+            &SessionConfig {
+                aggregate: AggregateOpts {
+                    delay_range: 8,
+                    ..AggregateOpts::default()
+                },
+                ..SessionConfig::default()
             },
         );
         assert!(out.all_members_informed);
@@ -780,20 +739,25 @@ mod tests {
         let (g, partition, shortcut) = grid_setup(8);
         let values: Vec<u64> = (0..g.num_nodes() as u64).map(|x| x * 7 % 31).collect();
         let run_with = |threads| {
-            solve_partwise(
+            AggregateOp {
+                values: &values,
+                op: AggOp::Sum,
+                leaders: None,
+            }
+            .run_on(
                 &g,
                 &partition,
                 &shortcut,
-                &values,
-                AggOp::Sum,
-                None,
-                &PartwiseConfig {
-                    delay_range: 12,
+                &SessionConfig {
+                    aggregate: AggregateOpts {
+                        delay_range: 12,
+                        ..AggregateOpts::default()
+                    },
                     sim: SimConfig {
                         threads,
                         ..SimConfig::default()
                     },
-                    ..PartwiseConfig::default()
+                    ..SessionConfig::default()
                 },
             )
         };
@@ -840,15 +804,12 @@ mod tests {
         let (g, partition, shortcut) = grid_setup(4);
         let bad: Vec<NodeId> = vec![NodeId(0); 4];
         let values = vec![0u64; g.num_nodes()];
-        solve_partwise(
-            &g,
-            &partition,
-            &shortcut,
-            &values,
-            AggOp::Sum,
-            Some(&bad),
-            &PartwiseConfig::default(),
-        );
+        AggregateOp {
+            values: &values,
+            op: AggOp::Sum,
+            leaders: Some(&bad),
+        }
+        .run_on(&g, &partition, &shortcut, &SessionConfig::default());
     }
 
     use lcs_graph::Graph;

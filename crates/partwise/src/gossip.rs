@@ -9,14 +9,14 @@
 //! the minimum member id).
 //!
 //! Non-idempotent aggregates (sum) need the tree discipline of
-//! [`solve_partwise`](crate::solve_partwise); the type system enforces the
+//! [`AggregateOp`](crate::AggregateOp); the type system enforces the
 //! distinction via [`IdempotentOp`].
 
 use crate::dist::ParticipationMap;
 use lcs_congest::{
     id_bits, Ctx, Incoming, MessageSize, NodeProgram, RunMetrics, SimConfig, SimMode, Simulator,
 };
-use lcs_core::session::{deps, OpReport, PartwiseOp, ShortcutSession};
+use lcs_core::session::{deps, OpReport, PartwiseOp, SessionConfig, ShortcutSession};
 use lcs_core::{Partition, Shortcut};
 use lcs_graph::{Graph, PartId};
 use std::collections::HashMap;
@@ -46,7 +46,7 @@ impl IdempotentOp {
     }
 }
 
-/// Result of [`gossip_aggregate`].
+/// Result of [`GossipOp`].
 #[derive(Clone, Debug)]
 pub struct GossipOutcome {
     /// Converged aggregate per part (value held by every member).
@@ -140,8 +140,9 @@ impl NodeProgram for GossipProgram {
 /// `O(dilation)` rounds.
 ///
 /// `session.run(GossipOp { .. })` (or the facade's `session.gossip(..)`)
-/// serves it from the cached shortcut; the legacy [`gossip_aggregate`]
-/// free function runs it over explicit artifacts.
+/// serves it from the cached shortcut; [`GossipOp::run_on`] runs it over
+/// explicit artifacts. Both run on [`SessionConfig::aggregate_sim`];
+/// outcomes and metrics are identical at any thread count.
 #[derive(Clone, Copy, Debug)]
 pub struct GossipOp<'a> {
     /// One value per node.
@@ -175,7 +176,7 @@ impl PartwiseOp for GossipOp<'_> {
 
 impl GossipOp<'_> {
     /// Runs the flooding protocol over explicit artifacts (the non-session
-    /// path).
+    /// path) on [`SessionConfig::aggregate_sim`].
     ///
     /// # Panics
     ///
@@ -186,10 +187,10 @@ impl GossipOp<'_> {
         g: &Graph,
         partition: &Partition,
         shortcut: &Shortcut,
-        sim: SimConfig,
+        cfg: &SessionConfig,
     ) -> GossipOutcome {
         let participation = ParticipationMap::build(g, partition, shortcut);
-        self.run_with(g, partition, sim, &participation)
+        self.run_with(g, partition, cfg.aggregate_sim(), &participation)
     }
 
     /// Runs the flooding protocol over a prebuilt [`ParticipationMap`] —
@@ -262,29 +263,6 @@ impl GossipOp<'_> {
     }
 }
 
-/// Solves part-wise aggregation for an idempotent operator without leaders,
-/// by flooding over `G[P_i] + H_i` — the legacy free-function surface, now
-/// a one-line wrapper over [`GossipOp::run_on`]. For repeated queries on
-/// one topology prefer a [`ShortcutSession`].
-///
-/// `sim.threads` flows through to the sharded round executor; outcomes and
-/// metrics are identical at any thread count.
-///
-/// # Panics
-///
-/// Panics if `values.len() != g.num_nodes()` or the shortcut's shape
-/// differs from the partition's.
-pub fn gossip_aggregate(
-    g: &Graph,
-    partition: &Partition,
-    shortcut: &Shortcut,
-    values: &[u64],
-    op: IdempotentOp,
-    sim: SimConfig,
-) -> GossipOutcome {
-    GossipOp { values, op }.run_on(g, partition, shortcut, sim)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -300,14 +278,11 @@ mod tests {
         let built = full_shortcut(&g, &tree, &partition, &ShortcutConfig::default());
         let values: Vec<u64> = (0..36u64).map(|x| (x * 7) % 23).collect();
         for op in [IdempotentOp::Min, IdempotentOp::Max] {
-            let out = gossip_aggregate(
-                &g,
-                &partition,
-                &built.shortcut,
-                &values,
+            let out = GossipOp {
+                values: &values,
                 op,
-                SimConfig::default(),
-            );
+            }
+            .run_on(&g, &partition, &built.shortcut, &SessionConfig::default());
             assert!(out.converged, "gossip must converge to the true aggregate");
         }
     }
@@ -322,14 +297,11 @@ mod tests {
         let tree = bfs::bfs_tree(&g, NodeId(0));
         let built = full_shortcut(&g, &tree, &partition, &ShortcutConfig::default());
         let ids: Vec<u64> = g.nodes().map(|v| u64::from(v.0)).collect();
-        let out = gossip_aggregate(
-            &g,
-            &partition,
-            &built.shortcut,
-            &ids,
-            IdempotentOp::Min,
-            SimConfig::default(),
-        );
+        let out = GossipOp {
+            values: &ids,
+            op: IdempotentOp::Min,
+        }
+        .run_on(&g, &partition, &built.shortcut, &SessionConfig::default());
         assert!(out.converged);
         for (pid, nodes) in partition.iter() {
             let min_id = nodes.iter().map(|v| u64::from(v.0)).min().unwrap();
@@ -346,21 +318,20 @@ mod tests {
         let tree = bfs::bfs_tree(&g, NodeId(0));
         let built = full_shortcut(&g, &tree, &partition, &ShortcutConfig::default());
         let values: Vec<u64> = (0..n as u64).collect();
-        let with = gossip_aggregate(
-            &g,
-            &partition,
-            &built.shortcut,
-            &values,
-            IdempotentOp::Max,
-            SimConfig::default(),
-        );
-        let without = gossip_aggregate(
+        let with = GossipOp {
+            values: &values,
+            op: IdempotentOp::Max,
+        }
+        .run_on(&g, &partition, &built.shortcut, &SessionConfig::default());
+        let without = GossipOp {
+            values: &values,
+            op: IdempotentOp::Max,
+        }
+        .run_on(
             &g,
             &partition,
             &baseline::no_shortcut(&partition),
-            &values,
-            IdempotentOp::Max,
-            SimConfig::default(),
+            &SessionConfig::default(),
         );
         assert!(with.converged && without.converged);
         // Dilation O(1) vs Θ(n): gossip rounds shrink accordingly.

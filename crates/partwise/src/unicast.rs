@@ -11,36 +11,11 @@
 use lcs_congest::{
     Ctx, Incoming, MessageSize, NodeProgram, RunMetrics, SimConfig, SimMode, Simulator,
 };
-use lcs_core::session::{OpReport, PartwiseOp, ShortcutSession};
+use lcs_core::session::{OpReport, PartwiseOp, SessionConfig, ShortcutSession};
 use lcs_graph::{Graph, NodeId, RootedTree};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-
-/// Configuration for [`route_multiple_unicasts`].
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct UnicastConfig {
-    /// Packets start after a uniform random delay in `[0, delay_range)`
-    /// (0 disables delays; the per-packet queue priority still randomizes
-    /// drain order).
-    pub delay_range: u32,
-    /// Seed for delays and priorities.
-    pub seed: u64,
-    /// Simulator settings (mode forced to queued;
-    /// [`SimConfig::threads`] selects the sharded executor's worker count).
-    pub sim: SimConfig,
-}
-
-impl Default for UnicastConfig {
-    fn default() -> Self {
-        UnicastConfig {
-            delay_range: 0,
-            seed: 0x0417,
-            sim: SimConfig::default(),
-        }
-    }
-}
 
 /// Result of a routing run.
 #[derive(Clone, Debug)]
@@ -141,8 +116,9 @@ impl NodeProgram for RouterProgram {
 /// unique tree paths under random-delay scheduling.
 ///
 /// `session.run(UnicastOp { .. })` (or the facade's `session.unicast(..)`)
-/// routes over the session's cached tree; the legacy
-/// [`route_multiple_unicasts`] free function takes an explicit tree.
+/// routes over the session's cached tree; [`UnicastOp::run_on`] takes an
+/// explicit tree. Both read the same [`SessionConfig`] fields: the
+/// `unicast` block and [`SessionConfig::unicast_sim`].
 #[derive(Clone, Copy, Debug)]
 pub struct UnicastOp<'a> {
     /// The `(source, target)` demand pairs.
@@ -153,29 +129,29 @@ impl PartwiseOp for UnicastOp<'_> {
     type Output = UnicastOutcome;
 
     fn run(self, session: &mut ShortcutSession<'_>) -> OpReport<UnicastOutcome> {
-        let sc = session.config();
-        let cfg = UnicastConfig {
-            delay_range: sc.unicast.delay_range,
-            seed: sc.unicast.seed,
-            sim: sc.unicast_sim(),
-        };
-        let g = session.graph();
         // Routing needs only the tree — it must not force a shortcut
         // construction on sessions used purely for unicast serving.
-        let out = self.run_on(g, session.tree(), &cfg);
+        session.tree();
+        let out = self.run_on(session.graph(), session.tree_ref(), session.config());
         let metrics = out.metrics.clone();
         OpReport::from_metrics(out, &metrics, None)
     }
 }
 
 impl UnicastOp<'_> {
-    /// Routes over an explicit tree (the non-session path).
+    /// Routes one packet per demand along its unique tree path, all
+    /// concurrently, over an explicit tree (the non-session path). Packets
+    /// start after a uniform random delay in `[0, cfg.unicast.delay_range)`
+    /// (0 disables delays; the per-packet queue priority, drawn from
+    /// `cfg.unicast.seed`, still randomizes drain order) on
+    /// [`SessionConfig::unicast_sim`] in queued mode.
     ///
     /// # Panics
     ///
     /// Panics if some endpoint lies outside the tree's component, or a
     /// source equals its target.
-    pub fn run_on(&self, g: &Graph, tree: &RootedTree, cfg: &UnicastConfig) -> UnicastOutcome {
+    pub fn run_on(&self, g: &Graph, tree: &RootedTree, cfg: &SessionConfig) -> UnicastOutcome {
+        let opts = &cfg.unicast;
         let pairs = self.demands;
         // Tree paths (up to the LCA, then down) with per-edge load counting.
         let mut load = vec![0u32; g.num_edges()];
@@ -201,14 +177,14 @@ impl UnicastOp<'_> {
         }
         let congestion = load.iter().copied().max().unwrap_or(0);
 
-        let mut rng = SmallRng::seed_from_u64(cfg.seed);
+        let mut rng = SmallRng::seed_from_u64(opts.seed);
         let delays: Vec<u32> = pairs
             .iter()
             .map(|_| {
-                if cfg.delay_range == 0 {
+                if opts.delay_range == 0 {
                     0
                 } else {
-                    rng.gen_range(0..cfg.delay_range)
+                    rng.gen_range(0..opts.delay_range)
                 }
             })
             .collect();
@@ -216,7 +192,7 @@ impl UnicastOp<'_> {
 
         let sim_cfg = SimConfig {
             mode: SimMode::Queued,
-            ..cfg.sim
+            ..cfg.unicast_sim()
         };
         let sim = Simulator::new(g, sim_cfg);
         let run = sim.run(|v, _| {
@@ -259,25 +235,6 @@ impl UnicastOp<'_> {
     }
 }
 
-/// Routes one packet per `(source, target)` pair along its unique tree path,
-/// all pairs concurrently, under random-delay scheduling — the legacy
-/// free-function surface, now a one-line wrapper over [`UnicastOp::run_on`].
-/// For repeated routing on one topology prefer a [`ShortcutSession`], which
-/// caches the tree between calls.
-///
-/// # Panics
-///
-/// Panics if some endpoint lies outside the tree's component, or a source
-/// equals its target.
-pub fn route_multiple_unicasts(
-    g: &Graph,
-    tree: &RootedTree,
-    pairs: &[(NodeId, NodeId)],
-    cfg: &UnicastConfig,
-) -> UnicastOutcome {
-    UnicastOp { demands: pairs }.run_on(g, tree, cfg)
-}
-
 /// The node sequence from `s` to `t` along the tree (excluding `s`,
 /// including `t`): ascend to the LCA, then descend.
 fn tree_path(tree: &RootedTree, s: NodeId, t: NodeId) -> Vec<NodeId> {
@@ -306,6 +263,7 @@ fn tree_path(tree: &RootedTree, s: NodeId, t: NodeId) -> Vec<NodeId> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lcs_core::session::UnicastOpts;
     use lcs_graph::{bfs, gen};
 
     fn tree_of(g: &Graph) -> RootedTree {
@@ -350,7 +308,7 @@ mod tests {
         let g = gen::grid(8, 8);
         let t = tree_of(&g);
         let pairs: Vec<(NodeId, NodeId)> = (0..16).map(|i| (NodeId(i), NodeId(63 - i))).collect();
-        let out = route_multiple_unicasts(&g, &t, &pairs, &UnicastConfig::default());
+        let out = UnicastOp { demands: &pairs }.run_on(&g, &t, &SessionConfig::default());
         assert!(out.metrics.terminated);
         assert_eq!(out.delivered, 16);
         assert!(out.congestion >= 1 && out.dilation >= 1);
@@ -369,7 +327,7 @@ mod tests {
         let g = gen::star(12);
         let t = tree_of(&g);
         let pairs: Vec<(NodeId, NodeId)> = (1..7).map(|i| (NodeId(i), NodeId(i + 5))).collect();
-        let out = route_multiple_unicasts(&g, &t, &pairs, &UnicastConfig::default());
+        let out = UnicastOp { demands: &pairs }.run_on(&g, &t, &SessionConfig::default());
         assert_eq!(out.delivered, 6);
         assert_eq!(out.dilation, 2);
         // All six packets enter distinct hub edges but leave over distinct
@@ -382,11 +340,14 @@ mod tests {
         let g = gen::torus(6, 6);
         let t = tree_of(&g);
         let pairs: Vec<(NodeId, NodeId)> = (0..12).map(|i| (NodeId(i), NodeId(35 - i))).collect();
-        let cfg = UnicastConfig {
-            delay_range: 8,
-            ..UnicastConfig::default()
+        let cfg = SessionConfig {
+            unicast: UnicastOpts {
+                delay_range: 8,
+                ..UnicastOpts::default()
+            },
+            ..SessionConfig::default()
         };
-        let out = route_multiple_unicasts(&g, &t, &pairs, &cfg);
+        let out = UnicastOp { demands: &pairs }.run_on(&g, &t, &cfg);
         assert_eq!(out.delivered, 12);
     }
 
@@ -395,7 +356,10 @@ mod tests {
     fn rejects_self_pairs() {
         let g = gen::path(3);
         let t = tree_of(&g);
-        route_multiple_unicasts(&g, &t, &[(NodeId(1), NodeId(1))], &UnicastConfig::default());
+        UnicastOp {
+            demands: &[(NodeId(1), NodeId(1))],
+        }
+        .run_on(&g, &t, &SessionConfig::default());
     }
 
     use lcs_graph::Graph;

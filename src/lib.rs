@@ -71,18 +71,34 @@ pub use lcs_separator as separator;
 /// assert_eq!(session.aggregate(&values, AggOp::Sum).result.results[0], Some(28));
 /// ```
 ///
-/// Migration from the legacy free functions (which remain available as
-/// thin wrappers):
+/// Each op has exactly one direct entry next to its session method — the
+/// op struct's `run_on`, for callers that hold the artifacts themselves
+/// (experiments, benches, differential tests). Both read the same
+/// [`SessionConfig`](lcs_core::session::SessionConfig) fields, so one
+/// config value drives either path:
 ///
-/// | Legacy call | Session method |
+/// | Direct entry | Session method |
 /// |---|---|
-/// | `solve_partwise(g, parts, shortcut, values, op, None, cfg)` | `session.aggregate(values, op)` |
-/// | `solve_partwise(.., Some(leaders), ..)` | `session.aggregate_with_leaders(values, op, leaders)` |
-/// | `gossip_aggregate(g, parts, shortcut, values, op, sim)` | `session.gossip(values, op)` |
-/// | `route_multiple_unicasts(g, tree, pairs, cfg)` | `session.unicast(pairs)` |
-/// | `distributed_mst(g, weights, root, cfg)` | `session.mst(weights)` |
-/// | `distributed_components(g, root, cfg)` | `session.components()` |
-/// | `approx_mincut_distributed(g, root, cfg)` | `session.mincut()` |
+/// | `AggregateOp { values, op, leaders: None }.run_on(g, partition, shortcut, &cfg)` | `session.aggregate(values, op)` |
+/// | `AggregateOp { .., leaders: Some(leaders) }.run_on(..)` | `session.aggregate_with_leaders(values, op, leaders)` |
+/// | `GossipOp { values, op }.run_on(g, partition, shortcut, &cfg)` | `session.gossip(values, op)` |
+/// | `UnicastOp { demands }.run_on(g, tree, &cfg)` | `session.unicast(demands)` |
+/// | `MstOp.run_on(g, weights, root, &ShortcutProvider::Backend(backend), &cfg)` | `session.mst(weights)` |
+/// | `ComponentsOp.run_on(g, root, &backend, &cfg)` | `session.components()` |
+/// | `MincutOp.run_on(g, root, &backend, &cfg)` | `session.mincut()` |
+///
+/// `MstOp::run_on` also takes the ablation strawmen
+/// `ShortcutProvider::Baseline` (the `D + √n` shortcut) and
+/// `ShortcutProvider::None`. The former free functions `solve_partwise`,
+/// `gossip_aggregate`, `route_multiple_unicasts`, `distributed_mst`,
+/// `distributed_components` and `approx_mincut_distributed` are gone, and
+/// so are their `PartwiseConfig` / `UnicastConfig` / `BoruvkaConfig` /
+/// `MincutConfig` structs: pass a `SessionConfig` to the direct entry.
+///
+/// The shared artifacts map onto session accessors:
+///
+/// | Free function | Session method |
+/// |---|---|
 /// | `full_shortcut(g, tree, parts, cfg)` | `session.shortcut()` / `session.full_artifact()` |
 /// | `distributed_full_shortcut(g, root, parts, cfg, dist)` | `Backend::Distributed` / `Backend::Sketch` + `session.shortcut()` |
 /// | `partial_shortcut_or_witness(g, tree, parts, δ̂, cfg)` | `session.partial(δ̂)` |
@@ -128,8 +144,7 @@ pub use lcs_separator as separator;
 /// [`CacheStats`](lcs_core::session::CacheStats) (serde-able, via
 /// [`cache_stats`](lcs_core::session::ShortcutSession::cache_stats))
 /// counts builds/hits/invalidations per artifact class plus the
-/// incremental-recustomization tallies; it replaces the deprecated
-/// `constructions()` counter.
+/// incremental-recustomization tallies.
 ///
 /// **Migration note:** code that held a `&PartialArtifact` (or
 /// `&Shortcut` from `shortcut_ref()`) across a mutation must re-fetch it
@@ -144,7 +159,7 @@ pub mod facade {
     pub use lcs_algos::{
         connectivity::ComponentsOp,
         mincut::MincutOp,
-        mst::{boruvka_config_of, MstOp},
+        mst::{MstOp, ShortcutProvider},
     };
     pub use lcs_core::session::{
         deps, AggregateOpts, ArtifactStats, Backend, CacheStats, ConstructionStats, Epochs,

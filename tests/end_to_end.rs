@@ -3,15 +3,13 @@
 //! the distributed algorithms.
 
 use lcs_graph::weights::EdgeWeights;
-use low_congestion_shortcuts::algos::mst::{
-    distributed_mst, kruskal, BoruvkaConfig, ShortcutProvider,
-};
+use low_congestion_shortcuts::algos::mst::{kruskal, MstOp, ShortcutProvider};
 use low_congestion_shortcuts::congest::protocols::AggOp;
 use low_congestion_shortcuts::core::dist::{
     distributed_full_shortcut, distributed_partial_shortcut, DistConfig,
 };
 use low_congestion_shortcuts::core::{SweepOutcome, WitnessMode};
-use low_congestion_shortcuts::partwise::{centralized_aggregate, solve_partwise, PartwiseConfig};
+use low_congestion_shortcuts::partwise::{centralized_aggregate, AggregateOp};
 use low_congestion_shortcuts::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -43,15 +41,12 @@ fn pipeline(g: &Graph, parts: Vec<Vec<NodeId>>, seed: u64) {
         .map(|_| rand::Rng::gen_range(&mut rng, 0..1_000_000))
         .collect();
     for op in [AggOp::Min, AggOp::Max, AggOp::Sum] {
-        let out = solve_partwise(
-            g,
-            &partition,
-            &built.shortcut,
-            &values,
+        let out = AggregateOp {
+            values: &values,
             op,
-            None,
-            &PartwiseConfig::default(),
-        );
+            leaders: None,
+        }
+        .run_on(g, &partition, &built.shortcut, &SessionConfig::default());
         assert!(
             out.all_members_informed,
             "all members must learn the result"
@@ -203,15 +198,11 @@ fn mst_exact_across_providers_and_families() {
         let w = EdgeWeights::random_unique(g, &mut rng);
         let reference = kruskal(g, &w);
         for provider in [
-            ShortcutProvider::MinorSweepOracle(ShortcutConfig::default()),
+            ShortcutProvider::Backend(Backend::Centralized),
             ShortcutProvider::Baseline,
             ShortcutProvider::None,
         ] {
-            let cfg = BoruvkaConfig {
-                provider,
-                ..BoruvkaConfig::default()
-            };
-            let rep = distributed_mst(g, &w, NodeId(0), &cfg);
+            let rep = MstOp.run_on(g, &w, NodeId(0), &provider, &SessionConfig::default());
             assert_eq!(rep.edges, reference, "family {i} provider mismatch");
         }
     }

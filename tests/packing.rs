@@ -24,8 +24,9 @@ use low_congestion_shortcuts::congest::{
 use low_congestion_shortcuts::core::dist::{
     distributed_partial_shortcut, DistConfig, DistMode, DistPartialShortcut,
 };
+use low_congestion_shortcuts::core::session::AggregateOpts;
 use low_congestion_shortcuts::core::{Partition, ShortcutConfig, WitnessMode};
-use low_congestion_shortcuts::partwise::{solve_partwise, PartwiseConfig};
+use low_congestion_shortcuts::partwise::AggregateOp;
 use low_congestion_shortcuts::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -185,23 +186,24 @@ fn partwise_aggregates_are_packing_invariant() {
         for delay_range in [0, 8] {
             let mut reference: Option<Vec<Option<u64>>> = None;
             for packing in PACKING_LEVELS {
-                let out = solve_partwise(
-                    &g,
-                    &partition,
-                    &built.shortcut,
-                    &values,
-                    AggOp::Sum,
-                    None,
-                    &PartwiseConfig {
+                let cfg = SessionConfig {
+                    aggregate: AggregateOpts {
                         delay_range,
-                        sim: SimConfig {
-                            threads,
-                            message_packing: packing,
-                            ..SimConfig::default()
-                        },
-                        ..PartwiseConfig::default()
+                        ..AggregateOpts::default()
                     },
-                );
+                    sim: SimConfig {
+                        threads,
+                        message_packing: packing,
+                        ..SimConfig::default()
+                    },
+                    ..SessionConfig::default()
+                };
+                let out = AggregateOp {
+                    values: &values,
+                    op: AggOp::Sum,
+                    leaders: None,
+                }
+                .run_on(&g, &partition, &built.shortcut, &cfg);
                 assert!(out.all_members_informed, "t{threads}/p{packing}");
                 match &reference {
                     None => reference = Some(out.results),

@@ -9,9 +9,9 @@
 //! on **all three backends**, (c) the **churn differential**: after every
 //! mutation (`reassign_parts`, `set_partition`, `update_weights`) each
 //! op's result is bit-identical to a fresh-built session on the mutated
-//! inputs, and (d) that `SessionConfig` and the legacy config structs it
-//! absorbs survive serde round trips, with a pinned JSON snapshot of the
-//! defaults.
+//! inputs, (d) that `SessionConfig` survives serde round trips, with a
+//! pinned JSON snapshot of the defaults, and (e) every op's simulated cost
+//! per backend.
 
 use lcs_graph::weights::EdgeWeights;
 use low_congestion_shortcuts::algos::mst::kruskal;
@@ -558,63 +558,6 @@ fn packing_zero_roundtrips_and_normalizes_at_construction() {
     assert_eq!(zero_run.rounds, one_run.rounds);
     assert_eq!(zero_run.messages, one_run.messages);
     assert_eq!(zero_run.bits, one_run.bits);
-}
-
-#[test]
-fn legacy_configs_roundtrip() {
-    use low_congestion_shortcuts::algos::mincut::MincutConfig;
-    use low_congestion_shortcuts::algos::mst::{BoruvkaConfig, ShortcutProvider};
-    use low_congestion_shortcuts::partwise::{PartwiseConfig, UnicastConfig};
-
-    let pw = PartwiseConfig {
-        delay_range: 7,
-        seed: 123,
-        sim: SimConfig {
-            mode: SimMode::Queued,
-            threads: 3,
-            ..SimConfig::default()
-        },
-    };
-    assert_eq!(roundtrip(&pw), pw);
-
-    let uc = UnicastConfig {
-        delay_range: 4,
-        seed: 99,
-        sim: SimConfig::default(),
-    };
-    assert_eq!(roundtrip(&uc), uc);
-
-    for provider in [
-        ShortcutProvider::MinorSweepOracle(ShortcutConfig::default()),
-        ShortcutProvider::MinorSweepDistributed(
-            ShortcutConfig::default(),
-            DistConfig {
-                mode: DistMode::Sketch {
-                    t: 16,
-                    hash_seed: 1,
-                    cut_factor: 1.25,
-                },
-                sim: SimConfig::default(),
-            },
-        ),
-        ShortcutProvider::Baseline,
-        ShortcutProvider::None,
-    ] {
-        let bc = BoruvkaConfig {
-            provider,
-            partwise: pw,
-            seed: 5,
-            max_phases: Some(40),
-            skip_small_fragments: false,
-        };
-        assert_eq!(roundtrip(&bc), bc);
-
-        let mc = MincutConfig {
-            trees: Some(6),
-            boruvka: bc.clone(),
-        };
-        assert_eq!(roundtrip(&mc), mc);
-    }
 }
 
 /// FNV-1a over a stream of words: a result fingerprint that does not
