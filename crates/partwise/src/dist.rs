@@ -621,18 +621,14 @@ mod tests {
         let (g, partition, shortcut) = grid_setup(8);
         let empty = baseline::no_shortcut(&partition);
         let values: Vec<u64> = (0..g.num_nodes() as u64).collect();
-        let with = AggregateOp {
+        let op = AggregateOp {
             values: &values,
             op: AggOp::Sum,
             leaders: None,
-        }
-        .run_on(&g, &partition, &shortcut, &SessionConfig::default());
-        let without = AggregateOp {
-            values: &values,
-            op: AggOp::Sum,
-            leaders: None,
-        }
-        .run_on(&g, &partition, &empty, &SessionConfig::default());
+        };
+        let cfg = SessionConfig::default();
+        let with = op.run_on(&g, &partition, &shortcut, &cfg);
+        let without = op.run_on(&g, &partition, &empty, &cfg);
         assert!(with.all_members_informed && without.all_members_informed);
         assert_eq!(with.results, without.results);
         // On short row parts the shortcut brings no speedup (the rows are
@@ -651,23 +647,14 @@ mod tests {
         let built = full_shortcut(&g, &tree, &partition, &ShortcutConfig::default());
         let values: Vec<u64> = (0..n as u64).collect();
 
-        let with = AggregateOp {
+        let op = AggregateOp {
             values: &values,
             op: AggOp::Max,
             leaders: None,
-        }
-        .run_on(&g, &partition, &built.shortcut, &SessionConfig::default());
-        let without = AggregateOp {
-            values: &values,
-            op: AggOp::Max,
-            leaders: None,
-        }
-        .run_on(
-            &g,
-            &partition,
-            &baseline::no_shortcut(&partition),
-            &SessionConfig::default(),
-        );
+        };
+        let cfg = SessionConfig::default();
+        let with = op.run_on(&g, &partition, &built.shortcut, &cfg);
+        let without = op.run_on(&g, &partition, &baseline::no_shortcut(&partition), &cfg);
         assert_eq!(with.results[0], Some(n as u64 - 1));
         assert_eq!(without.results[0], Some(n as u64 - 1));
         // Shortcut routes through the hub: O(1) diameter vs Θ(n) rim walk.

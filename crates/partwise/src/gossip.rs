@@ -168,7 +168,7 @@ impl PartwiseOp for GossipOp<'_> {
             },
         );
         let sim = session.config().aggregate_sim();
-        let out = self.run_with(session.graph(), session.partition(), sim, &participation);
+        let out = self.run_with(session.graph(), session.partition(), &participation, sim);
         let metrics = out.metrics.clone();
         OpReport::from_metrics(out, &metrics, quality)
     }
@@ -190,7 +190,7 @@ impl GossipOp<'_> {
         cfg: &SessionConfig,
     ) -> GossipOutcome {
         let participation = ParticipationMap::build(g, partition, shortcut);
-        self.run_with(g, partition, cfg.aggregate_sim(), &participation)
+        self.run_with(g, partition, &participation, cfg.aggregate_sim())
     }
 
     /// Runs the flooding protocol over a prebuilt [`ParticipationMap`] —
@@ -199,8 +199,8 @@ impl GossipOp<'_> {
         &self,
         g: &Graph,
         partition: &Partition,
-        sim: SimConfig,
         participation: &ParticipationMap,
+        sim: SimConfig,
     ) -> GossipOutcome {
         let (values, op) = (self.values, self.op);
         assert_eq!(values.len(), g.num_nodes(), "one value per node");
@@ -318,21 +318,13 @@ mod tests {
         let tree = bfs::bfs_tree(&g, NodeId(0));
         let built = full_shortcut(&g, &tree, &partition, &ShortcutConfig::default());
         let values: Vec<u64> = (0..n as u64).collect();
-        let with = GossipOp {
+        let op = GossipOp {
             values: &values,
             op: IdempotentOp::Max,
-        }
-        .run_on(&g, &partition, &built.shortcut, &SessionConfig::default());
-        let without = GossipOp {
-            values: &values,
-            op: IdempotentOp::Max,
-        }
-        .run_on(
-            &g,
-            &partition,
-            &baseline::no_shortcut(&partition),
-            &SessionConfig::default(),
-        );
+        };
+        let cfg = SessionConfig::default();
+        let with = op.run_on(&g, &partition, &built.shortcut, &cfg);
+        let without = op.run_on(&g, &partition, &baseline::no_shortcut(&partition), &cfg);
         assert!(with.converged && without.converged);
         // Dilation O(1) vs Θ(n): gossip rounds shrink accordingly.
         assert!(with.metrics.rounds * 4 < without.metrics.rounds);
