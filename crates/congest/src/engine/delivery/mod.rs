@@ -9,15 +9,17 @@
 //! deliveries — no coordinator-side pass touches message payloads.
 //!
 //! Determinism does not depend on which thread runs a partition, only on
-//! the *order* each partition sees its own pushes. The engine guarantees
-//! that order is the global deterministic send order (shard-major, nodes
-//! ascending within a shard, issue order within a node) filtered to the
-//! partition's dirs — a filter of a fixed order is itself fixed — and
-//! passes each push the exact global sequence number, reconstructed from
-//! per-shard send counts via a prefix sum in shard order.
+//! the *order* each partition sees its own pushes. The engine pushes in
+//! ascending sender node, then issue order (sender-lane-major ingestion
+//! of contiguous lanes), whatever the lane count. Each push carries the
+//! sending lane's sequence number, which is only meaningful per dir: all
+//! of a dir's messages come from one sender in one lane, whose counter
+//! rises across the whole run, so within a dir `seq` follows send order.
+//! Backends must therefore compare `seq` only between messages of the
+//! same dir.
 //!
 //! Each partition accounts what it delivers into a [`ShardAccount`]; the
-//! coordinator folds the accounts in shard order, which makes the summed
+//! coordinator folds the accounts in lane order, which makes the summed
 //! metrics (`messages`, `bits`, `max_queue`) bit-identical at any thread
 //! count.
 //!
@@ -44,7 +46,7 @@ use crate::MessageSize;
 #[derive(Clone, Copy, Default, Debug)]
 pub(crate) struct ShardAccount {
     /// Envelopes this shard's nodes sent this round (validated and
-    /// bit-accounted in-lane). Drives the seq-base prefix sum.
+    /// bit-accounted in-lane); in flight until the receivers ingest them.
     pub sends: u64,
     /// Bits those sends were billed at.
     pub bits: u64,
@@ -65,10 +67,11 @@ pub(crate) trait Delivery<M: MessageSize> {
     /// Accepts one message on directed edge `dir` (which must belong to
     /// this partition's shard).
     ///
-    /// `seq` is the run-global send sequence number (monotonic in global
-    /// push order); `round` is the round the sender executed in (0 during
-    /// `on_start`). Backends may panic on protocol violations (e.g. a
-    /// strict-mode double send).
+    /// `seq` is the sending lane's sequence number: it rises with send
+    /// order among the messages of one dir, and means nothing across dirs
+    /// (different dirs may come from different lanes). `round` is the
+    /// round the sender executed in (0 during `on_start`). Backends may
+    /// panic on protocol violations (e.g. a strict-mode double send).
     fn push(&mut self, dir: u32, priority: u64, seq: u64, msg: M, round: u64, topo: &Topology<'_>);
 
     /// Number of accepted messages not yet staged.

@@ -17,20 +17,22 @@
 //!   messages under `message_packing`).
 //! - [`shard`] — a contiguous node range owning its programs, RNGs,
 //!   inboxes, and wake bookkeeping; the unit of parallel work.
-//! - [`parallel`] — the decentralized round executor: each *lane* (a
-//!   shard plus its delivery partition) ingests routed envelopes, stages,
-//!   computes,
-//!   and validates/bit-accounts its own sends fully in parallel; the
-//!   coordinator's serial window shrinks to an `O(threads)` account fold,
-//!   a prefix sum of send counts (the sequence-number bases), and a
-//!   mailbox rotation — no per-message serial work remains.
+//! - [`parallel`] — the lane executor, the engine's one round loop at
+//!   every thread count: each *lane* (a shard plus its delivery
+//!   partition) ingests routed envelopes, stages, computes, and
+//!   validates, sequence-numbers and bit-accounts its own sends, round 0
+//!   (`on_start`) included. The coordinator's serial window is an account
+//!   fold and a mailbox rotation — no per-message serial work remains.
 //!
-//! Determinism: every per-message decision happens inside a lane, in an
-//! order fixed by the topology (nodes ascending within a shard, issue
-//! order within a node, sender-shard-major ingestion), and the exact
-//! global sequence numbers are reconstructed from the per-shard send
-//! counts via a prefix sum in shard order. Metrics are folded from the
-//! per-lane accounts in shard order. The pinned conformance corpus
+//! Determinism is per dir: every message on a directed edge comes from
+//! one sender node, hence from one lane, which numbers its sends from a
+//! counter that rises across the whole run. Those lane-local sequence
+//! numbers order each dir's messages exactly as send order does, and no
+//! backend compares sequence numbers across dirs. Every other per-message
+//! decision happens inside a lane in an order fixed by the topology
+//! (nodes ascending within a shard, issue order within a node,
+//! sender-lane-major ingestion), and metrics are folded from the per-lane
+//! accounts in lane order. The pinned conformance corpus
 //! (`tests/sim_conformance.rs`) is therefore bit-identical at every
 //! [`SimConfig::threads`] setting.
 
@@ -39,13 +41,12 @@ mod parallel;
 mod shard;
 mod topology;
 
-use crate::{MessageSize, PackedMsg, PhaseTimings, RunMetrics};
-use delivery::{CalendarDelivery, Delivery, ShardAccount, StrictDelivery};
+use crate::{MessageSize, PhaseTimings, RunMetrics};
+use delivery::{CalendarDelivery, StrictDelivery};
 use lcs_graph::{EdgeId, Graph, NodeId};
 use rand::rngs::SmallRng;
 use serde::{Deserialize, Serialize};
 use shard::Shard;
-use std::time::Instant;
 use topology::Topology;
 
 /// How the engine treats sends beyond one message per edge per round.
@@ -81,12 +82,13 @@ pub struct SimConfig {
     pub max_rounds: u64,
     /// Seed for the per-node RNG streams.
     pub seed: u64,
-    /// Worker threads for the sharded round executor. `1` (the default)
-    /// runs fully inline with zero threading overhead; `0` resolves to the
-    /// host's available parallelism; larger values are capped at 64 and at
-    /// the node count. **Any setting yields bit-identical metrics**: shard
-    /// outboxes are merged in shard order, so rounds, messages, bits, and
-    /// max_queue never depend on the thread count.
+    /// Lanes (contiguous node shards) the round executor splits the run
+    /// into. `1` (the default) runs on the calling thread and spawns no
+    /// worker; `0` resolves to the host's available parallelism; larger
+    /// values are capped at 64 and at the node count. The lanes run on
+    /// `min(available_parallelism, lanes)` OS threads. **Any setting
+    /// yields bit-identical metrics**: rounds, messages, bits, and
+    /// max_queue never depend on the lane or thread count.
     pub threads: usize,
     /// Multi-value message packing factor. `1` (the default) is the
     /// unpacked engine: every send is its own message, metrics are
@@ -305,12 +307,10 @@ impl<'g> Simulator<'g> {
         })
     }
 
-    /// The worker count [`SimConfig::threads`] resolves to on this host.
+    /// The lane count [`SimConfig::threads`] resolves to on this host.
     pub fn effective_threads(&self) -> usize {
         let t = if self.config.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
+            host_parallelism()
         } else {
             self.config.threads
         };
@@ -332,7 +332,21 @@ impl<'g> Simulator<'g> {
     /// messages, or (in strict mode) two sends over one directed edge in one
     /// round. Violations raised on a worker thread are re-raised on the
     /// calling thread.
-    pub fn run<P, F>(&self, mut init: F) -> RunOutcome<P>
+    pub fn run<P, F>(&self, init: F) -> RunOutcome<P>
+    where
+        P: NodeProgram + Send,
+        P::Msg: Send,
+        F: FnMut(NodeId, &Graph) -> P,
+    {
+        self.run_exec(init, None)
+    }
+
+    /// [`run`](Self::run) with the OS worker count forced to `exec`
+    /// (clamped to `1..=lanes`); `None` resolves to the host parallelism.
+    /// Sets up the topology, the shards and their delivery partitions,
+    /// then hands everything, round 0 included, to the lane executor.
+    /// Tests force `exec` to run several workers on a single-core host.
+    pub(crate) fn run_exec<P, F>(&self, mut init: F, exec: Option<usize>) -> RunOutcome<P>
     where
         P: NodeProgram + Send,
         P::Msg: Send,
@@ -340,8 +354,9 @@ impl<'g> Simulator<'g> {
     {
         let g = self.graph;
         let topo = Topology::build(g, self.effective_threads());
+        let lanes = topo.num_shards();
         let (pack, budget) = (self.effective_packing(), self.bandwidth_bits());
-        let shards: Vec<Shard<P>> = (0..topo.num_shards())
+        let shards: Vec<Shard<P>> = (0..lanes)
             .map(|s| {
                 Shard::new(
                     g,
@@ -353,91 +368,41 @@ impl<'g> Simulator<'g> {
                 )
             })
             .collect();
-        match self.config.mode {
-            SimMode::Strict => self.drive(
+        // One lane needs no worker, so it skips the host query.
+        let exec = match exec {
+            _ if lanes == 1 => 1,
+            Some(exec) => exec.clamp(1, lanes),
+            None => host_parallelism().min(lanes),
+        };
+        let metrics = RunMetrics {
+            threads: lanes,
+            bandwidth_bits: budget,
+            packing: pack,
+            ..RunMetrics::default()
+        };
+        let (shards, metrics, timings) = match self.config.mode {
+            SimMode::Strict => parallel::drive(
+                &self.config,
+                g,
                 &topo,
-                (0..topo.num_shards())
+                (0..lanes)
                     .map(|s| StrictDelivery::new(topo.shard_dir_count(s)))
                     .collect(),
                 shards,
+                metrics,
+                exec,
             ),
-            SimMode::Queued => self.drive(
+            SimMode::Queued => parallel::drive(
+                &self.config,
+                g,
                 &topo,
-                (0..topo.num_shards())
+                (0..lanes)
                     .map(|s| CalendarDelivery::new(topo.shard_dir_count(s), pack, budget))
                     .collect(),
                 shards,
+                metrics,
+                exec,
             ),
-        }
-    }
-
-    /// Round 0 plus the round loop, generic over the delivery backend.
-    /// `parts[s]` is receiver shard `s`'s delivery partition.
-    fn drive<P, D>(
-        &self,
-        topo: &Topology<'_>,
-        mut parts: Vec<D>,
-        mut shards: Vec<Shard<P>>,
-    ) -> RunOutcome<P>
-    where
-        P: NodeProgram + Send,
-        P::Msg: Send,
-        D: Delivery<PackedMsg<P::Msg>> + Send,
-    {
-        let g = self.graph;
-        let bandwidth = self.bandwidth_bits();
-        let mut metrics = RunMetrics {
-            threads: self.effective_threads(),
-            bandwidth_bits: bandwidth,
-            packing: self.effective_packing(),
-            ..RunMetrics::default()
-        };
-        let mut seq = 0u64;
-        let mut wakes = 0usize;
-
-        // Round 0: on_start on every shard, flushed in shard order — the
-        // coordinator pushes round-0 sends straight into the partitions
-        // (no mailbox hop; the lanes have not started yet).
-        for shard in &mut shards {
-            shard.run_start(g);
-        }
-        for shard in &mut shards {
-            flush_shard(
-                shard,
-                &mut parts,
-                topo,
-                0,
-                bandwidth,
-                &mut seq,
-                &mut metrics,
-            );
-            wakes += shard.pending_wakes();
-        }
-
-        let (shards, metrics, timings) = if shards.len() == 1 {
-            drive_seq(
-                &self.config,
-                g,
-                topo,
-                bandwidth,
-                parts,
-                shards,
-                metrics,
-                seq,
-                wakes,
-            )
-        } else {
-            parallel::drive_par(
-                &self.config,
-                g,
-                topo,
-                bandwidth,
-                parts,
-                shards,
-                metrics,
-                seq,
-                None,
-            )
         };
         RunOutcome {
             programs: shards.into_iter().flat_map(Shard::into_programs).collect(),
@@ -447,108 +412,15 @@ impl<'g> Simulator<'g> {
     }
 }
 
+/// The host's available parallelism (1 when it cannot be queried).
+fn host_parallelism() -> usize {
+    std::thread::available_parallelism().map_or(1, |p| p.get())
+}
+
 /// Milliseconds of a [`std::time::Duration`], for the phase-timing
 /// accumulators.
 pub(crate) fn ms(d: std::time::Duration) -> f64 {
     d.as_secs_f64() * 1e3
-}
-
-/// The inline round loop used at `threads = 1` (no pools, no barriers, no
-/// mailbox hop — the single partition's staged messages land directly in
-/// the shard's inbound buffer and its outbox flushes directly back).
-///
-/// Per-message work is identical to a lane of the parallel executor
-/// ([`parallel::drive_par`]); only the envelope routing differs, which is
-/// what keeps the two paths metric-identical.
-#[allow(clippy::too_many_arguments)]
-fn drive_seq<P, D>(
-    config: &SimConfig,
-    g: &Graph,
-    topo: &Topology<'_>,
-    bandwidth: usize,
-    mut parts: Vec<D>,
-    mut shards: Vec<Shard<P>>,
-    mut metrics: RunMetrics,
-    mut seq: u64,
-    mut wakes: usize,
-) -> (Vec<Shard<P>>, RunMetrics, PhaseTimings)
-where
-    P: NodeProgram,
-    D: Delivery<PackedMsg<P::Msg>>,
-{
-    debug_assert_eq!(shards.len(), 1);
-    debug_assert_eq!(parts.len(), 1);
-    let mut timings = PhaseTimings::default();
-    loop {
-        if parts[0].pending() == 0 && wakes == 0 {
-            metrics.terminated = shards.iter().all(Shard::all_done);
-            break;
-        }
-        if metrics.rounds >= config.max_rounds {
-            metrics.truncated = true;
-            break;
-        }
-        metrics.rounds += 1;
-        let round = metrics.rounds;
-        let t0 = Instant::now();
-        let mut acc = ShardAccount::default();
-        parts[0].stage(round, topo, &mut shards[0].inbound, &mut acc);
-        metrics.messages += acc.messages;
-        metrics.max_queue = metrics.max_queue.max(acc.max_queue);
-        let t1 = Instant::now();
-        shards[0].run_round(g, topo, round);
-        let t2 = Instant::now();
-        flush_shard(
-            &mut shards[0],
-            &mut parts,
-            topo,
-            round,
-            bandwidth,
-            &mut seq,
-            &mut metrics,
-        );
-        wakes = shards[0].pending_wakes();
-        let t3 = Instant::now();
-        timings.stage_ms += ms(t1 - t0);
-        timings.compute_ms += ms(t2 - t1);
-        timings.merge_ms += ms(t3 - t2);
-    }
-    (shards, metrics, timings)
-}
-
-/// Flushes one shard's outbox into the delivery partitions: per-message
-/// bandwidth validation, global sequence numbering, bit accounting, and
-/// routing by the receiver's shard. Used by the coordinator for round 0
-/// (all shards, in shard order) and by the single-shard loop every round;
-/// the parallel executor's lanes inline the same per-message work with
-/// lane-local sequence indices instead. Sizing is `n`-aware
-/// ([`MessageSize::size_bits_in`]): id payloads are billed at `O(log n)`
-/// bits, as the CONGEST model assumes; a packed envelope bills its true
-/// multi-value width (see [`PackedMsg`]) and must fit the budget like any
-/// other message.
-pub(crate) fn flush_shard<P, D>(
-    shard: &mut Shard<P>,
-    parts: &mut [D],
-    topo: &Topology<'_>,
-    round: u64,
-    bandwidth: usize,
-    seq: &mut u64,
-    metrics: &mut RunMetrics,
-) where
-    P: NodeProgram,
-    D: Delivery<PackedMsg<P::Msg>>,
-{
-    let n = topo.num_nodes();
-    for (dir, priority, msg) in shard.outbox.drain(..) {
-        let bits = msg.size_bits_in(n);
-        assert!(
-            bits <= bandwidth,
-            "message of {bits} bits exceeds the {bandwidth}-bit CONGEST bandwidth"
-        );
-        metrics.bits += bits as u64;
-        *seq += 1;
-        parts[topo.dir_shard(dir)].push(dir, priority, *seq, msg, round, topo);
-    }
 }
 
 /// SplitMix64-style mixer: derives a well-mixed 64-bit value from a seed
@@ -569,8 +441,8 @@ mod tests {
 
     /// Floods the maximum node id; every node is done once it stops hearing
     /// larger values.
-    struct MaxFlood {
-        best: u32,
+    pub(super) struct MaxFlood {
+        pub(super) best: u32,
     }
 
     impl NodeProgram for MaxFlood {
@@ -899,24 +771,40 @@ mod tests {
         }
     }
 
-    #[test]
-    fn worker_panics_propagate_to_the_caller() {
-        #[derive(Debug)]
-        struct Bomb;
-        impl NodeProgram for Bomb {
-            type Msg = u32;
-            fn on_start(&mut self, ctx: &mut Ctx<'_, u32>) {
-                ctx.wake_next_round();
-            }
-            fn on_round(&mut self, ctx: &mut Ctx<'_, u32>, _: &[Incoming<u32>]) {
-                if ctx.node() == NodeId(5) {
-                    panic!("protocol bug on node 5");
-                }
-            }
-            fn is_done(&self) -> bool {
-                true
+    /// Wakes every node into round 1, where node 5 panics.
+    pub(super) struct Bomb;
+
+    impl NodeProgram for Bomb {
+        type Msg = u32;
+        fn on_start(&mut self, ctx: &mut Ctx<'_, u32>) {
+            ctx.wake_next_round();
+        }
+        fn on_round(&mut self, ctx: &mut Ctx<'_, u32>, _: &[Incoming<u32>]) {
+            if ctx.node() == NodeId(5) {
+                panic!("protocol bug on node 5");
             }
         }
+        fn is_done(&self) -> bool {
+            true
+        }
+    }
+
+    /// Runs `f`, which must panic, and returns the panic message.
+    pub(super) fn panic_message<R>(f: impl FnOnce() -> R) -> String {
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
+        let Err(payload) = result else {
+            panic!("the panic must reach the caller");
+        };
+        payload
+            .downcast_ref::<&str>()
+            .copied()
+            .map(str::to_owned)
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_default()
+    }
+
+    #[test]
+    fn worker_panics_propagate_to_the_caller() {
         let g = gen::path(8);
         let sim = Simulator::new(
             &g,
@@ -925,15 +813,7 @@ mod tests {
                 ..SimConfig::default()
             },
         );
-        let result =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run(|_, _| Bomb)));
-        let payload = result.expect_err("the worker panic must reach the caller");
-        let msg = payload
-            .downcast_ref::<&str>()
-            .copied()
-            .map(str::to_owned)
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_default();
+        let msg = panic_message(|| sim.run(|_, _| Bomb));
         assert!(msg.contains("protocol bug on node 5"), "got: {msg}");
     }
 

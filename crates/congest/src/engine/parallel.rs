@@ -1,61 +1,62 @@
-//! The decentralized sharded round executor.
+//! The lane executor: the engine's one round loop.
 //!
-//! Earlier engine versions funneled every envelope through a coordinator
-//! thread that validated, sequence-numbered, bit-accounted, and staged all
-//! messages between rounds — an `O(messages)` serial section that capped
-//! parallel speedup well below the shard count. This executor moves all of
-//! that **into the shards**. Each *lane* pairs a [`Shard`] with the
-//! delivery partition of the dirs its nodes receive, and runs four steps
-//! per round with no synchronization beyond two barriers:
+//! Each *lane* pairs a [`Shard`] with the delivery partition of the dirs
+//! its nodes receive, and runs four steps per round with no
+//! synchronization beyond two barriers:
 //!
-//! 1. **Ingest** the mailboxes routed to it last round (sender-shard
-//!    order), pushing each envelope into its own delivery partition with
-//!    the *exact global sequence number* reconstructed as
-//!    `mail.base + idx + 1`.
+//! 1. **Ingest** the mailboxes routed to it last round (sender-lane
+//!    order), pushing each envelope into its own delivery partition.
 //! 2. **Stage** the round's due deliveries straight into its shard's
 //!    inbound buffer.
-//! 3. **Compute** the node callbacks ([`Shard::run_round`]).
+//! 3. **Compute** the node callbacks: `on_start` in round 0,
+//!    [`Shard::run_round`] in every later round.
 //! 4. **Flush**: validate each send against the bandwidth budget, account
-//!    its bits, and route it — tagged with its lane-local send index — to
-//!    the receiving lane's mailbox for the *next* round.
+//!    its bits, stamp it with the lane's next sequence number, and route
+//!    it to the receiving lane's mailbox for the *next* round.
 //!
-//! The coordinator's serial window between rounds is `O(lanes)`, not
-//! `O(messages)`: sum the per-lane accounts for the quiescence check,
-//! prefix-sum the per-lane send counts **in shard order** to obtain each
-//! lane's sequence base for the round, and rotate the mailbox buffers
-//! (receiver's drained vec swaps back to the sender — the steady state
-//! allocates nothing). The per-round metric fold is overlapped with the
-//! next round's compute.
+//! Round 0 is an ordinary lane round with nothing to ingest or stage:
+//! `on_start` sends travel through the same flush and mailboxes as every
+//! later round's. The coordinator's serial window between rounds is
+//! `O(lanes²)` pointer work and no per-message work: sum the per-lane
+//! accounts for the quiescence check and rotate the mailbox buffers (the
+//! receiver's drained vec swaps back to the sender, so the steady state
+//! allocates nothing). The metric fold of one round overlaps the next
+//! round's compute.
 //!
 //! # Determinism argument
 //!
-//! The global send order is defined as: shards in ascending order, nodes
-//! ascending within a shard, issue order within a node. The prefix sum
-//! gives lane `t` the base `seq + Σ_{u<t} sends_u`, so
-//! `base + idx + 1` reproduces the exact sequence numbers a serial merge
-//! in that order would have assigned. A partition only ever sees the
-//! envelopes addressed to its own dirs, ingested sender-shard-major — a
-//! filter of the fixed global order, hence itself fixed. Metrics are
-//! folded from the per-lane [`ShardAccount`]s in shard order. None of
-//! this depends on which OS thread runs which lane, so rounds, messages,
-//! bits, and max_queue are bit-identical at any thread count — the pinned
-//! corpus in `tests/sim_conformance.rs` checks exactly this.
+//! Ordering is per dir. Every message on a dir comes from the dir's one
+//! sender node, hence from one lane, and a lane stamps its sends from a
+//! counter that rises across the whole run (rounds in order, nodes
+//! ascending within a round, issue order within a node). So within a dir
+//! the sequence numbers follow send order, and that is all the delivery
+//! backends compare: strict mode ignores `seq`, and the calendar queue
+//! breaks `(priority, seq)` ties only among one dir's pending messages.
+//! Sequence numbers of different lanes are never compared.
+//!
+//! A partition ingests its mailboxes in sender-lane order, each mailbox
+//! in issue order. Lanes are contiguous node ranges, so that push order is
+//! ascending sender node, then issue order, whatever the lane count; the
+//! staged deliveries and every inbox inherit it. Metrics are folded from
+//! the per-lane [`ShardAccount`]s in lane order. None of this depends on
+//! which OS thread runs which lane, so rounds, messages, bits and
+//! max_queue are bit-identical at any thread count — the pinned corpus in
+//! `tests/sim_conformance.rs` checks exactly this.
 //!
 //! # Execution
 //!
 //! Lanes are the *determinism* unit; OS threads are the *execution* unit.
 //! `exec = min(available_parallelism, lanes)` threads run the lanes
-//! round-robin (thread `w` owns lanes `w, w + exec, …`). On a single-core
-//! host `exec == 1` and the whole loop runs inline — no threads, no
-//! barriers, no mutexes — so asking for `threads = 4` on one core costs
-//! (almost) nothing over `threads = 1` instead of thrashing a spin
-//! barrier. With `exec > 1`, rounds are microseconds long, so the barrier
-//! is a spin barrier (sense-reversing, two atomics) with a `yield_now`
+//! round-robin (thread `w` owns lanes `w, w + exec, …`); the calling
+//! thread is worker 0. At `exec = 1` no worker is spawned and the loop
+//! runs on the calling thread; what it pays over a bare loop is a
+//! one-participant barrier (one atomic add) and uncontended lane locks.
+//! With `exec > 1`, rounds are microseconds long, so the barrier is a
+//! spin barrier (sense-reversing, two atomics) with a `yield_now`
 //! fallback for oversubscribed hosts. Worker panics are caught, parked
 //! until the barrier cycle completes (a raw unwind past a barrier would
-//! deadlock everyone else), and re-raised on the coordinator once the
-//! workers have been shut down — so a protocol assertion behaves exactly
-//! as in the single-shard engine.
+//! deadlock everyone else), and re-raised on the caller once the workers
+//! have been shut down.
 
 use super::delivery::{Delivery, ShardAccount};
 use super::shard::Shard;
@@ -65,7 +66,7 @@ use crate::{MessageSize, PackedMsg, PhaseTimings};
 use lcs_graph::Graph;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
 /// A sense-reversing spin barrier for `total` participants.
@@ -115,17 +116,9 @@ impl SpinBarrier {
 struct Env<M> {
     dir: u32,
     priority: u64,
-    /// Send index within the sending lane's round (0-based); the global
-    /// sequence number is `Mail::base + idx + 1`.
-    idx: u32,
+    /// The sending lane's sequence number for this send.
+    seq: u64,
     msg: M,
-}
-
-/// A mailbox: the envelopes one sender lane routed to one receiver lane
-/// in one round, plus the sender's sequence base for that round.
-struct Mail<M> {
-    base: u64,
-    envs: Vec<Env<M>>,
 }
 
 /// A lane: one shard plus the delivery partition of the dirs it receives,
@@ -134,19 +127,22 @@ struct Mail<M> {
 struct Lane<P: NodeProgram, D> {
     shard: Shard<P>,
     part: D,
-    /// `in_from[t]`: the mailbox sender lane `t` routed to this lane last
-    /// round. Ingested in `t` order (= global send order filtered to this
-    /// partition's dirs).
-    in_from: Vec<Mail<PackedMsg<P::Msg>>>,
+    /// `in_from[t]`: the envelopes sender lane `t` routed to this lane last
+    /// round. Ingested in `t` order.
+    in_from: Vec<Vec<Env<PackedMsg<P::Msg>>>>,
     /// `out_to[s]`: envelopes this lane's nodes sent to receiver lane `s`
-    /// this round, in issue order, tagged with lane-local send indices.
+    /// this round, in issue order.
     out_to: Vec<Vec<Env<PackedMsg<P::Msg>>>>,
+    /// The sequence number of this lane's latest send. It rises across
+    /// the whole run and is never reset between rounds.
+    seq: u64,
     account: ShardAccount,
 }
 
-/// One lane's full round: ingest → stage → compute → flush. Runs with no
-/// access to any other lane's state; panics (bandwidth or strict-mode
-/// assertions) unwind to the calling worker's catch.
+/// One lane's full round: ingest → stage → compute → flush (round 0:
+/// `on_start`, then flush). Runs with no access to any other lane's
+/// state; panics (bandwidth or strict-mode assertions) unwind to the
+/// calling worker's catch.
 fn lane_phase<P, D>(
     lane: &mut Lane<P, D>,
     g: &Graph,
@@ -162,40 +158,36 @@ fn lane_phase<P, D>(
         part,
         in_from,
         out_to,
+        seq,
         account: acc,
     } = lane;
-
-    // Ingest: last round's sends routed to this partition, sender-shard
-    // major. The senders executed in `round - 1`, which is the round the
-    // delivery backends schedule from.
-    for mail in in_from.iter_mut() {
-        for env in mail.envs.drain(..) {
-            part.push(
-                env.dir,
-                env.priority,
-                mail.base + u64::from(env.idx) + 1,
-                env.msg,
-                round - 1,
-                topo,
-            );
-        }
-    }
-
     *acc = ShardAccount::default();
 
-    // Stage this round's due deliveries straight into the shard's inbound
-    // buffer — no coordinator staging pass, no extra copy.
-    debug_assert!(shard.inbound.is_empty());
-    part.stage(round, topo, &mut shard.inbound, acc);
-
-    // Compute.
-    shard.run_round(g, topo, round);
+    if round == 0 {
+        shard.run_start(g);
+    } else {
+        // Ingest: last round's sends routed to this partition, sender-lane
+        // major. The senders executed in `round - 1`, which is the round
+        // the delivery backends schedule from.
+        for mail in in_from.iter_mut() {
+            for env in mail.drain(..) {
+                part.push(env.dir, env.priority, env.seq, env.msg, round - 1, topo);
+            }
+        }
+        // Stage this round's due deliveries straight into the shard's
+        // inbound buffer, then compute.
+        debug_assert!(shard.inbound.is_empty());
+        part.stage(round, topo, &mut shard.inbound, acc);
+        shard.run_round(g, topo, round);
+    }
 
     // Flush: validate + bit-account this lane's own sends and route each
-    // envelope to the lane that receives it. `idx` is the lane-local send
-    // index the coordinator's prefix sum turns into exact global seqs.
+    // envelope to the lane that receives it. Sizing is `n`-aware
+    // ([`MessageSize::size_bits_in`]): id payloads are billed at
+    // `O(log n)` bits, and a packed envelope bills its true multi-value
+    // width and must fit the budget like any other message.
     let n = topo.num_nodes();
-    let mut idx = 0u32;
+    acc.sends = shard.outbox.len() as u64;
     for (dir, priority, msg) in shard.outbox.drain(..) {
         let bits = msg.size_bits_in(n);
         assert!(
@@ -203,44 +195,34 @@ fn lane_phase<P, D>(
             "message of {bits} bits exceeds the {bandwidth}-bit CONGEST bandwidth"
         );
         acc.bits += bits as u64;
+        *seq += 1;
         out_to[topo.dir_shard(dir)].push(Env {
             dir,
             priority,
-            idx,
+            seq: *seq,
             msg,
         });
-        idx += 1;
     }
-    acc.sends = u64::from(idx);
     acc.wakes = shard.pending_wakes();
     acc.pending = part.pending();
 }
 
-/// The coordinator's mailbox rotation: assigns each lane its sequence
-/// base for the finished round (prefix sum of send counts in shard
-/// order — the determinism keystone) and swaps every `out_to[s]` with the
+/// The coordinator's mailbox rotation: swaps every `out_to[s]` with the
 /// matching `in_from[t]` buffer, so the receiver gets the envelopes and
 /// the sender gets a drained vec back. `O(lanes²)` pointer swaps, no
 /// envelope is copied.
-fn rotate_mailboxes<P, D>(lanes: &mut [&mut Lane<P, D>], seq: &mut u64)
+fn rotate_mailboxes<P, D>(lanes: &mut [MutexGuard<'_, Lane<P, D>>])
 where
     P: NodeProgram,
 {
     let count = lanes.len();
-    let mut bases = [0u64; 64];
-    debug_assert!(count <= 64, "threads are clamped to 64");
-    for (t, lane) in lanes.iter().enumerate() {
-        bases[t] = *seq;
-        *seq += lane.account.sends;
-    }
     for t in 0..count {
         for s in 0..count {
             if s == t {
                 let Lane {
                     in_from, out_to, ..
                 } = &mut *lanes[t];
-                std::mem::swap(&mut out_to[t], &mut in_from[t].envs);
-                in_from[t].base = bases[t];
+                std::mem::swap(&mut out_to[t], &mut in_from[t]);
             } else {
                 let (a, b) = lanes.split_at_mut(s.max(t));
                 let (sender, receiver) = if t < s {
@@ -248,15 +230,14 @@ where
                 } else {
                     (&mut *b[0], &mut *a[s])
                 };
-                std::mem::swap(&mut sender.out_to[s], &mut receiver.in_from[t].envs);
-                receiver.in_from[t].base = bases[t];
+                std::mem::swap(&mut sender.out_to[s], &mut receiver.in_from[t]);
             }
         }
     }
 }
 
 /// Folds the per-lane accounts of one round into the run metrics, in
-/// shard order.
+/// lane order.
 fn fold_accounts(accounts: &[ShardAccount], metrics: &mut RunMetrics) {
     for acc in accounts {
         metrics.bits += acc.bits;
@@ -265,24 +246,25 @@ fn fold_accounts(accounts: &[ShardAccount], metrics: &mut RunMetrics) {
     }
 }
 
-/// Runs the round loop over `shards.len()` lanes. Returns the final
-/// shards (for program extraction), metrics, and phase timings.
+/// Runs a whole simulation, round 0 included, over one lane per shard
+/// (`parts[s]` is shard `s`'s delivery partition) on `exec` OS threads:
+/// the caller plus `exec - 1` scoped workers, each running the lanes
+/// `w, w + exec, …` between two spin barriers per round. The fold of
+/// round `r - 1`'s accounts happens after the release barrier, overlapped
+/// with the workers' round-`r` compute.
 ///
-/// `metrics` and `seq` carry the round-0 (`on_start`) state the caller
-/// already flushed into the partitions. `exec_override` forces the OS
-/// thread count (tests use it to exercise the threaded path on
-/// single-core hosts); `None` resolves to the host parallelism.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn drive_par<P, D>(
+/// `metrics` arrives carrying the execution configuration; its
+/// `bandwidth_bits` is the budget every send is validated against.
+/// Returns the final shards (for program extraction), the metrics, and
+/// the phase timings.
+pub(crate) fn drive<P, D>(
     config: &SimConfig,
     g: &Graph,
     topo: &Topology<'_>,
-    bandwidth: usize,
     parts: Vec<D>,
     shards: Vec<Shard<P>>,
-    metrics: RunMetrics,
-    seq: u64,
-    exec_override: Option<usize>,
+    mut metrics: RunMetrics,
+    exec: usize,
 ) -> (Vec<Shard<P>>, RunMetrics, PhaseTimings)
 where
     P: NodeProgram + Send,
@@ -291,130 +273,22 @@ where
 {
     let count = shards.len();
     debug_assert_eq!(parts.len(), count);
-    let lanes: Vec<Lane<P, D>> = shards
+    debug_assert!((1..=count.max(1)).contains(&exec));
+    let bandwidth = metrics.bandwidth_bits;
+    let cells: Vec<Mutex<Lane<P, D>>> = shards
         .into_iter()
         .zip(parts)
         .map(|(shard, part)| {
-            // Seed the account with the round-0 state so the first serial
-            // window's quiescence check sees on_start's sends and wakes.
-            let account = ShardAccount {
-                wakes: shard.pending_wakes(),
-                pending: part.pending(),
-                ..ShardAccount::default()
-            };
-            Lane {
+            Mutex::new(Lane {
                 shard,
                 part,
-                in_from: (0..count)
-                    .map(|_| Mail {
-                        base: 0,
-                        envs: Vec::new(),
-                    })
-                    .collect(),
+                in_from: (0..count).map(|_| Vec::new()).collect(),
                 out_to: (0..count).map(|_| Vec::new()).collect(),
-                account,
-            }
+                seq: 0,
+                account: ShardAccount::default(),
+            })
         })
         .collect();
-
-    let exec = exec_override
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-        })
-        .clamp(1, count);
-
-    let (lanes, metrics, timings) = if exec == 1 {
-        drive_lanes_inline(config, g, topo, bandwidth, lanes, metrics, seq)
-    } else {
-        drive_lanes_threaded(config, g, topo, bandwidth, lanes, metrics, seq, exec)
-    };
-    (
-        lanes.into_iter().map(|l| l.shard).collect(),
-        metrics,
-        timings,
-    )
-}
-
-/// The `exec == 1` loop: every lane runs on the calling thread, in lane
-/// order, with zero synchronization. Deterministically identical to the
-/// threaded loop (same lane phases, same serial window); this is what a
-/// multi-shard config costs on a single-core host.
-fn drive_lanes_inline<P, D>(
-    config: &SimConfig,
-    g: &Graph,
-    topo: &Topology<'_>,
-    bandwidth: usize,
-    mut lanes: Vec<Lane<P, D>>,
-    mut metrics: RunMetrics,
-    mut seq: u64,
-) -> (Vec<Lane<P, D>>, RunMetrics, PhaseTimings)
-where
-    P: NodeProgram,
-    D: Delivery<PackedMsg<P::Msg>>,
-{
-    let mut timings = PhaseTimings::default();
-    let mut fold: Vec<ShardAccount> = Vec::with_capacity(lanes.len());
-    loop {
-        // Serial window (same work the threaded coordinator does).
-        let t0 = Instant::now();
-        let inflight: usize = lanes
-            .iter()
-            .map(|l| l.account.pending + l.account.sends as usize)
-            .sum();
-        let wakes: usize = lanes.iter().map(|l| l.account.wakes).sum();
-        fold.clear();
-        fold.extend(lanes.iter().map(|l| l.account));
-        if inflight == 0 && wakes == 0 {
-            fold_accounts(&fold, &mut metrics);
-            metrics.terminated = lanes.iter().all(|l| l.shard.all_done());
-            break;
-        }
-        if metrics.rounds >= config.max_rounds {
-            fold_accounts(&fold, &mut metrics);
-            metrics.truncated = true;
-            break;
-        }
-        let mut refs: Vec<&mut Lane<P, D>> = lanes.iter_mut().collect();
-        rotate_mailboxes(&mut refs, &mut seq);
-        metrics.rounds += 1;
-        let round = metrics.rounds;
-        let t1 = Instant::now();
-        fold_accounts(&fold, &mut metrics);
-        let t2 = Instant::now();
-        for lane in &mut lanes {
-            lane_phase(lane, g, topo, round, bandwidth);
-        }
-        let t3 = Instant::now();
-        timings.stage_ms += ms(t1 - t0);
-        timings.merge_ms += ms(t2 - t1);
-        timings.compute_ms += ms(t3 - t2);
-    }
-    (lanes, metrics, timings)
-}
-
-/// The `exec > 1` loop: `exec - 1` scoped workers plus the coordinator,
-/// each running the lanes `w, w + exec, …` between two spin barriers per
-/// round. The round-`r-1` metric fold happens after the release barrier,
-/// overlapped with the workers' round-`r` compute.
-#[allow(clippy::too_many_arguments)]
-fn drive_lanes_threaded<P, D>(
-    config: &SimConfig,
-    g: &Graph,
-    topo: &Topology<'_>,
-    bandwidth: usize,
-    lanes: Vec<Lane<P, D>>,
-    mut metrics: RunMetrics,
-    mut seq: u64,
-    exec: usize,
-) -> (Vec<Lane<P, D>>, RunMetrics, PhaseTimings)
-where
-    P: NodeProgram + Send,
-    P::Msg: Send,
-    D: Delivery<PackedMsg<P::Msg>> + Send,
-{
-    let cells: Vec<Mutex<Lane<P, D>>> = lanes.into_iter().map(Mutex::new).collect();
     let barrier = SpinBarrier::new(exec);
     let stop = AtomicBool::new(false);
     let round_now = AtomicU64::new(0);
@@ -448,43 +322,16 @@ where
         // workers would deadlock); its own lane phases are caught like a
         // worker's, and the serial window is guarded by this outer catch.
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let mut fold: Vec<ShardAccount> = Vec::with_capacity(cells.len());
+            // The accounts of the last finished round, folded into the
+            // metrics while the lanes compute the next one.
+            let mut fold: Vec<ShardAccount> = Vec::with_capacity(count);
             loop {
-                // Serial window: the workers are parked at the release
-                // barrier, so every lock is uncontended.
-                let t0 = Instant::now();
-                let mut guards: Vec<_> = cells.iter().map(lock).collect();
-                let inflight: usize = guards
-                    .iter()
-                    .map(|l| l.account.pending + l.account.sends as usize)
-                    .sum();
-                let wakes: usize = guards.iter().map(|l| l.account.wakes).sum();
-                fold.clear();
-                fold.extend(guards.iter().map(|l| l.account));
-                if inflight == 0 && wakes == 0 {
-                    fold_accounts(&fold, &mut metrics);
-                    metrics.terminated = guards.iter().all(|l| l.shard.all_done());
-                    break;
-                }
-                if metrics.rounds >= config.max_rounds {
-                    fold_accounts(&fold, &mut metrics);
-                    metrics.truncated = true;
-                    break;
-                }
-                let mut refs: Vec<&mut Lane<P, D>> = guards.iter_mut().map(|g| &mut **g).collect();
-                rotate_mailboxes(&mut refs, &mut seq);
-                drop(refs);
-                drop(guards);
-                metrics.rounds += 1;
                 let round = metrics.rounds;
                 round_now.store(round, Ordering::Release);
-                let t1 = Instant::now();
-
+                let t0 = Instant::now();
                 barrier.wait(); // release the workers into the round
-                                // Overlap: fold the previous round's accounts while the
-                                // workers are already computing this one.
                 fold_accounts(&fold, &mut metrics);
-                let t2 = Instant::now();
+                let t1 = Instant::now();
                 // The coordinator is worker 0: run its own lanes.
                 let own = catch_unwind(AssertUnwindSafe(|| {
                     for cell in cells.iter().step_by(exec) {
@@ -495,14 +342,30 @@ where
                     lock(&worker_panic).get_or_insert(payload);
                 }
                 barrier.wait(); // wait for every lane to finish
-                let t3 = Instant::now();
-                timings.stage_ms += ms(t1 - t0);
-                timings.merge_ms += ms(t2 - t1);
-                timings.compute_ms += ms(t3 - t2);
-
+                let t2 = Instant::now();
+                timings.merge_ms += ms(t1 - t0);
+                timings.compute_ms += ms(t2 - t1);
                 if lock(&worker_panic).is_some() {
                     break; // re-raised below, after the workers are stopped
                 }
+
+                // Serial window: the workers are parked at the release
+                // barrier, so every lock is uncontended.
+                let mut guards: Vec<_> = cells.iter().map(lock).collect();
+                fold.clear();
+                fold.extend(guards.iter().map(|l| l.account));
+                let inflight: usize = fold.iter().map(|a| a.pending + a.sends as usize).sum();
+                let wakes: usize = fold.iter().map(|a| a.wakes).sum();
+                let quiescent = inflight == 0 && wakes == 0;
+                if quiescent || metrics.rounds >= config.max_rounds {
+                    metrics.terminated = quiescent && guards.iter().all(|l| l.shard.all_done());
+                    metrics.truncated = !quiescent;
+                    fold_accounts(&fold, &mut metrics);
+                    break;
+                }
+                rotate_mailboxes(&mut guards);
+                metrics.rounds += 1;
+                timings.stage_ms += ms(t2.elapsed());
             }
         }));
 
@@ -518,108 +381,37 @@ where
         resume_unwind(payload);
     }
 
-    let lanes = cells
+    let shards = cells
         .into_iter()
-        .map(|c| c.into_inner().unwrap_or_else(|e| e.into_inner()))
+        .map(|c| c.into_inner().unwrap_or_else(|e| e.into_inner()).shard)
         .collect();
-    (lanes, metrics, timings)
+    (shards, metrics, timings)
 }
 
 /// Locks ignoring poison: a poisoned lane only occurs on a worker panic,
 /// which the coordinator re-raises anyway.
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::delivery::StrictDelivery;
-    use super::super::{flush_shard, Ctx, Incoming};
+    use super::super::tests::{panic_message, Bomb, MaxFlood};
+    use super::super::{Ctx, Incoming, SimMode, Simulator};
     use super::*;
     use lcs_graph::{gen, NodeId};
 
-    /// MaxFlood: floods the maximum node id (same shape as the engine-level
-    /// test program, rebuilt here because that one is private to the
-    /// `engine::tests` module).
-    struct MaxFlood {
-        best: u32,
-    }
-
-    impl NodeProgram for MaxFlood {
-        type Msg = u32;
-
-        fn on_start(&mut self, ctx: &mut Ctx<'_, u32>) {
-            let best = self.best;
-            ctx.broadcast(best);
-        }
-
-        fn on_round(&mut self, ctx: &mut Ctx<'_, u32>, inbox: &[Incoming<u32>]) {
-            let mut improved = false;
-            for m in inbox {
-                if m.msg > self.best {
-                    self.best = m.msg;
-                    improved = true;
-                }
-            }
-            if improved {
-                let best = self.best;
-                ctx.broadcast(best);
-            }
-        }
-
-        fn is_done(&self) -> bool {
-            true
-        }
-    }
-
-    /// Replicates `Simulator::run`'s setup (round 0 included) and drives
-    /// the lanes with a forced OS thread count — the only way to exercise
-    /// the threaded path on a single-core host.
-    fn run_max_flood(
-        g: &lcs_graph::Graph,
-        lanes: usize,
-        exec: usize,
-    ) -> (Vec<MaxFlood>, RunMetrics) {
-        let config = SimConfig::default();
-        let topo = Topology::build(g, lanes);
-        let mut shards: Vec<Shard<MaxFlood>> = (0..topo.num_shards())
-            .map(|s| {
-                Shard::new(
-                    g,
-                    topo.shard_range(s),
-                    config.seed,
-                    1,
-                    1 << 20,
-                    &mut |v, _| MaxFlood { best: v.0 },
-                )
-            })
-            .collect();
-        let mut parts: Vec<StrictDelivery<PackedMsg<u32>>> = (0..topo.num_shards())
-            .map(|s| StrictDelivery::new(topo.shard_dir_count(s)))
-            .collect();
-        let mut metrics = RunMetrics::default();
-        let mut seq = 0u64;
-        for shard in &mut shards {
-            shard.run_start(g);
-        }
-        for shard in &mut shards {
-            flush_shard(shard, &mut parts, &topo, 0, 1 << 20, &mut seq, &mut metrics);
-        }
-        let (shards, metrics, _) = drive_par(
-            &config,
+    /// MaxFlood over `lanes` lanes on `exec` forced OS threads.
+    fn run_max_flood(g: &Graph, lanes: usize, exec: usize) -> (Vec<MaxFlood>, RunMetrics) {
+        let sim = Simulator::new(
             g,
-            &topo,
-            1 << 20,
-            parts,
-            shards,
-            metrics,
-            seq,
-            Some(exec),
+            SimConfig {
+                threads: lanes,
+                ..SimConfig::default()
+            },
         );
-        (
-            shards.into_iter().flat_map(Shard::into_programs).collect(),
-            metrics,
-        )
+        let run = sim.run_exec(|v, _| MaxFlood { best: v.0 }, Some(exec));
+        (run.programs, run.metrics)
     }
 
     #[test]
@@ -641,64 +433,102 @@ mod tests {
 
     #[test]
     fn threaded_worker_panics_propagate() {
-        struct Bomb;
-        impl NodeProgram for Bomb {
-            type Msg = u32;
-            fn on_start(&mut self, ctx: &mut Ctx<'_, u32>) {
+        let g = gen::path(8);
+        let sim = Simulator::new(
+            &g,
+            SimConfig {
+                threads: 4,
+                ..SimConfig::default()
+            },
+        );
+        let msg = panic_message(|| sim.run_exec(|_, _| Bomb, Some(2)));
+        assert!(msg.contains("protocol bug on node 5"), "got: {msg}");
+    }
+
+    /// On a 6-cycle, node 5 streams priority-5 values to node 0 (first
+    /// and last lane at any lane count > 1): five from `on_start`, two
+    /// more in round 1, then one priority-1 value in round 2. Node 0
+    /// records arrivals.
+    enum Fifo {
+        Sender,
+        Receiver(Vec<u32>),
+        Idle,
+    }
+
+    impl NodeProgram for Fifo {
+        type Msg = u32;
+        fn on_start(&mut self, ctx: &mut Ctx<'_, u32>) {
+            if let Fifo::Sender = self {
+                let port = ctx.port_to(NodeId(0)).expect("cycle edge");
+                for v in 0..5 {
+                    ctx.send_with_priority(port, v, 5);
+                }
                 ctx.wake_next_round();
             }
-            fn on_round(&mut self, ctx: &mut Ctx<'_, u32>, _: &[Incoming<u32>]) {
-                if ctx.node() == NodeId(5) {
-                    panic!("protocol bug on node 5");
+        }
+        fn on_round(&mut self, ctx: &mut Ctx<'_, u32>, inbox: &[Incoming<u32>]) {
+            match self {
+                Fifo::Sender => {
+                    let port = ctx.port_to(NodeId(0)).expect("cycle edge");
+                    if ctx.round() == 1 {
+                        ctx.send_with_priority(port, 5, 5);
+                        ctx.send_with_priority(port, 6, 5);
+                        ctx.wake_next_round();
+                    } else if ctx.round() == 2 {
+                        ctx.send_with_priority(port, 100, 1);
+                    }
                 }
-            }
-            fn is_done(&self) -> bool {
-                true
+                Fifo::Receiver(got) => got.extend(inbox.iter().map(|m| m.msg)),
+                Fifo::Idle => {}
             }
         }
-        let g = gen::path(8);
-        let config = SimConfig::default();
-        let topo = Topology::build(&g, 4);
-        let mut shards: Vec<Shard<Bomb>> = (0..topo.num_shards())
-            .map(|s| {
-                Shard::new(
-                    &g,
-                    topo.shard_range(s),
-                    config.seed,
-                    1,
-                    1 << 20,
-                    &mut |_, _| Bomb,
-                )
-            })
-            .collect();
-        let parts: Vec<StrictDelivery<PackedMsg<u32>>> = (0..topo.num_shards())
-            .map(|s| StrictDelivery::new(topo.shard_dir_count(s)))
-            .collect();
-        for shard in &mut shards {
-            shard.run_start(&g);
+        fn is_done(&self) -> bool {
+            true
         }
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            drive_par(
-                &config,
+    }
+
+    /// Queued-mode per-dir FIFO across rounds and lanes: one dir's
+    /// equal-priority backlog spans `on_start` and later rounds, so its
+    /// order rests on the sending lane's counter running across rounds;
+    /// the priority-1 send preempts what is still queued. The arrival
+    /// order and the metrics are the same at every lane and worker count.
+    #[test]
+    fn queued_fifo_holds_across_rounds_and_lanes() {
+        let g = gen::cycle(6);
+        let run = |lanes: usize, exec: usize| {
+            let sim = Simulator::new(
                 &g,
-                &topo,
-                1 << 20,
-                parts,
-                shards,
-                RunMetrics::default(),
-                0,
-                Some(2),
-            )
-        }));
-        let payload = match result {
-            Err(payload) => payload,
-            Ok(_) => panic!("the worker panic must reach the caller"),
+                SimConfig {
+                    mode: SimMode::Queued,
+                    threads: lanes,
+                    ..SimConfig::default()
+                },
+            );
+            let run = sim.run_exec(
+                |v, _| match v.0 {
+                    5 => Fifo::Sender,
+                    0 => Fifo::Receiver(Vec::new()),
+                    _ => Fifo::Idle,
+                },
+                Some(exec),
+            );
+            let Fifo::Receiver(got) = &run.programs[0] else {
+                panic!("node 0 records");
+            };
+            (got.clone(), run.metrics)
         };
-        let msg = payload
-            .downcast_ref::<&str>()
-            .copied()
-            .map(str::to_owned)
-            .unwrap_or_default();
-        assert!(msg.contains("protocol bug on node 5"), "got: {msg}");
+        let (base, base_metrics) = run(1, 1);
+        assert_eq!(base, vec![0, 1, 100, 2, 3, 4, 5, 6]);
+        assert_eq!(base_metrics.rounds, 8);
+        assert_eq!(base_metrics.max_queue, 6);
+        for (lanes, exec) in [(2, 1), (2, 2), (3, 1), (3, 2)] {
+            let (got, metrics) = run(lanes, exec);
+            assert_eq!(got, base, "lanes={lanes} exec={exec}");
+            assert_eq!(
+                metrics.counts(),
+                base_metrics.counts(),
+                "lanes={lanes} exec={exec}"
+            );
+        }
     }
 }

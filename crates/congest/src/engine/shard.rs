@@ -19,13 +19,10 @@
 //! engine. Packing on the shard keeps the coalescing work parallel.
 //!
 //! Determinism: within a shard, nodes run in ascending id order and each
-//! node's envelopes are appended in issue order; the global send order is
-//! *defined* as the shard outboxes concatenated in shard order, which the
-//! executor realizes without serializing by prefix-summing per-shard send
-//! counts into sequence-number bases (see [`super::parallel`]). That
-//! order is identical to the sequential engine's (ascending node id),
-//! making sequence numbers — and with them every pinned metric —
-//! independent of the thread count.
+//! node's envelopes are appended in issue order. The lane flush numbers
+//! the outbox in that order from a counter that runs across rounds, so
+//! each dir's sequence numbers follow its sender's send order whatever
+//! the lane count (see [`super::parallel`]).
 //!
 //! [`SimConfig::message_packing`]: super::SimConfig::message_packing
 

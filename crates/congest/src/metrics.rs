@@ -28,9 +28,11 @@ pub struct RunMetrics {
     ///
     /// [`SimConfig::max_rounds`]: crate::SimConfig::max_rounds
     pub truncated: bool,
-    /// Worker threads the sharded executor actually ran with (the resolved
-    /// [`SimConfig::threads`]). Execution configuration, not a measurement:
-    /// every counter above is identical at any thread count.
+    /// Lanes the round executor split the run into (the resolved
+    /// [`SimConfig::threads`]). This is not the OS worker count, which is
+    /// `min(available_parallelism, lanes)` and is not recorded. Execution
+    /// configuration, not a measurement: every counter above is identical
+    /// at any lane or thread count.
     ///
     /// Schema note: `threads` and `bandwidth_bits` were added to the serde
     /// surface in the facade PR; payloads serialized before then no longer
@@ -61,29 +63,27 @@ pub struct RunMetrics {
 /// thread counts and compared with `==` by the conformance suite, while
 /// timings are measurements of *this* execution.
 ///
-/// What the buckets mean depends on the executor path:
+/// The buckets mean the same at every thread count, because every run
+/// goes through the one lane executor. Per round, including round 0
+/// (`on_start`):
 ///
-/// * single shard (`threads = 1`): `stage_ms` is delivery staging,
-///   `merge_ms` is the flush/validation/accounting pass, `compute_ms` is
-///   the node programs' `on_round` work;
-/// * sharded (`threads > 1`): `stage_ms` is the coordinator's serial
-///   window (account collection, quiescence check, seq-base prefix sum,
-///   mailbox rotation), `merge_ms` is the metric fold (overlapped with the
-///   next round's compute), `compute_ms` is the parallel region wall —
-///   everything the lanes do between barriers, which *includes* their
-///   in-lane validation, staging and flush.
+/// * `stage_ms` is the coordinator's serial window: account collection,
+///   the quiescence check and the mailbox rotation;
+/// * `merge_ms` is the release barrier plus the fold of the previous
+///   round's accounts into the metrics, overlapped with the workers'
+///   compute;
+/// * `compute_ms` is the lane region: everything the coordinator's own
+///   lanes do until the last lane finishes — ingest, staging, the node
+///   callbacks, and the in-lane validation and routing of their sends.
 ///
 /// [`RunOutcome::timings`]: crate::RunOutcome::timings
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct PhaseTimings {
-    /// Wall milliseconds in node-program execution (the parallel region
-    /// for sharded runs).
+    /// Wall milliseconds in the lane region (see above).
     pub compute_ms: f64,
-    /// Wall milliseconds staging deliveries (single shard) or in the
-    /// coordinator's serial window (sharded).
+    /// Wall milliseconds in the coordinator's serial window.
     pub stage_ms: f64,
-    /// Wall milliseconds merging/validating outboxes (single shard) or
-    /// folding shard accounts (sharded).
+    /// Wall milliseconds in the overlapped account fold.
     pub merge_ms: f64,
 }
 

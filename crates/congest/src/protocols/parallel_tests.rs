@@ -1,5 +1,5 @@
-//! Thread-count invariance of the standard protocols: the sharded executor
-//! must produce the same trees, leaders, and metrics as the inline loop.
+//! Thread-count invariance of the standard protocols: a multi-lane run
+//! must produce the same trees, leaders, and metrics as a one-lane run.
 
 use super::{extract_tree, BfsTreeProgram, LeaderElectProgram};
 use crate::{SimConfig, Simulator};

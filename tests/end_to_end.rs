@@ -92,6 +92,16 @@ fn pipeline_on_lower_bound_topology() {
     pipeline(&lb.graph, lb.rows, 5);
 }
 
+/// Simulator lane count for the differential corpus. CI also runs the
+/// 50-seed suites under `LCS_SIM_THREADS=4`: a multi-lane construction
+/// must reproduce the centralized cut set exactly like a one-lane one.
+fn env_threads() -> usize {
+    std::env::var("LCS_SIM_THREADS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(1)
+}
+
 /// Simulator packing factor for the differential corpus. CI also runs the
 /// 50-seed suites under `LCS_SIM_PACKING=8`: the multi-value packed
 /// construction must reproduce the centralized cut set exactly like the
@@ -114,6 +124,7 @@ fn assert_distributed_matches_centralized(g: &Graph, parts: Vec<Vec<NodeId>>, la
     };
     let dist_cfg = DistConfig {
         sim: SimConfig {
+            threads: env_threads(),
             message_packing: env_packing(),
             ..SimConfig::default()
         },

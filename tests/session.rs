@@ -33,8 +33,18 @@ fn env_packing() -> usize {
         .unwrap_or(1)
 }
 
+/// Simulator lane count for the differential corpus (CI also runs it at
+/// `LCS_SIM_THREADS=4`; results must be identical).
+fn env_threads() -> usize {
+    std::env::var("LCS_SIM_THREADS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(1)
+}
+
 fn env_sim() -> SimConfig {
     SimConfig {
+        threads: env_threads(),
         message_packing: env_packing(),
         ..SimConfig::default()
     }
@@ -575,7 +585,8 @@ fn option_words(results: &[Option<u64>]) -> impl Iterator<Item = u64> + '_ {
 /// The op costs every backend charges, pinned: `(backend, op, rounds,
 /// messages, bits, result fingerprint)` for all six ops on one small
 /// instance. The simulator configuration is explicit (not read from the
-/// `LCS_SIM_*` environment), so the pins hold under every CI variant.
+/// `LCS_SIM_*` environment), so the pins hold under every CI variant, and
+/// the same pins are checked at one and at three simulator lanes.
 /// `aggregate.delay_range > 0` exercises the random-delays path, and the
 /// session-wide `sim`, `mst.sim` and `mincut.sim` pack at 4, 2 and 1
 /// values per message: each op's costs show which of the three it ran on
@@ -605,7 +616,29 @@ fn op_costs_are_pinned_per_backend() {
     ];
 
     let g = gen::grid(5, 5);
-    let sim = SimConfig::default();
+    for threads in [1, 3] {
+        let got = op_costs(&g, threads);
+        let rendered: String = got
+            .iter()
+            .map(|(b, op, r, m, bits, fp)| {
+                format!("    (\"{b}\", \"{op}\", {r}, {m}, {bits}, {fp:#x}),\n")
+            })
+            .collect();
+        assert_eq!(
+            got, PINS,
+            "op costs drifted at threads = {threads}; observed:\n{rendered}"
+        );
+    }
+}
+
+/// Runs all six ops on every backend of `op_costs_are_pinned_per_backend`
+/// with `threads` simulator lanes on every sim (session-wide, `mst.sim`,
+/// `mincut.sim`, and the distributed and sketch backends').
+fn op_costs(g: &Graph, threads: usize) -> Vec<(&'static str, &'static str, u64, u64, u64, u64)> {
+    let sim = SimConfig {
+        threads,
+        ..SimConfig::default()
+    };
     let config = SessionConfig {
         shortcut: ShortcutConfig {
             witness_mode: WitnessMode::Skip,
@@ -652,11 +685,11 @@ fn op_costs_are_pinned_per_backend() {
     ];
     let values: Vec<u64> = (0..25u64).map(|x| (x * 131) % 997).collect();
     let demands: Vec<(NodeId, NodeId)> = (0..8).map(|i| (NodeId(i), NodeId(24 - i))).collect();
-    let weights = EdgeWeights::random_unique(&g, &mut SmallRng::seed_from_u64(3));
+    let weights = EdgeWeights::random_unique(g, &mut SmallRng::seed_from_u64(3));
 
     let mut got = Vec::new();
     for (name, backend) in backends {
-        let mut s = Session::on(&g)
+        let mut s = Session::on(g)
             .partition(gen::rows_of_grid(5, 5))
             .backend(backend)
             .config(config.clone())
@@ -703,11 +736,5 @@ fn op_costs_are_pinned_per_backend() {
         let fp = fingerprint([r.result.estimate, r.result.trees as u64]);
         got.push((name, "mincut", r.rounds, r.messages, r.bits, fp));
     }
-    let rendered: String = got
-        .iter()
-        .map(|(b, op, r, m, bits, fp)| {
-            format!("    (\"{b}\", \"{op}\", {r}, {m}, {bits}, {fp:#x}),\n")
-        })
-        .collect();
-    assert_eq!(got, PINS, "op costs drifted; observed:\n{rendered}");
+    got
 }

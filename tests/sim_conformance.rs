@@ -19,11 +19,10 @@
 //! strict-mode rewrite; the repo's protocols are arrival-order
 //! independent, which is exactly why the pinned metrics stay identical.
 //!
-//! The corpus runs at `threads` ∈ {1, 2, 4, 8}: the decentralized
-//! executor reconstructs the exact global sequence numbers from per-shard
-//! send counts (a prefix sum in shard order) and folds per-shard accounts
-//! in shard order, so every pinned number must be independent of the lane
-//! count. `LCS_SIM_THREADS` (used by CI) additionally overrides the
+//! The corpus runs at `threads` ∈ {1, 2, 4, 8}: the lane executor orders
+//! each dir's messages by its sending lane's run-long sequence counter and
+//! folds per-lane accounts in lane order, so every pinned number must be
+//! independent of the lane count. `LCS_SIM_THREADS` (used by CI) additionally overrides the
 //! thread count of the env-driven run.
 //!
 //! **Packing conformance** (`LCS_SIM_PACKING`, used by CI at `8`): with
