@@ -527,6 +527,121 @@ fn cache_stats_roundtrip_through_serde() {
     assert_eq!(roundtrip(&stats), stats, "CacheStats serde round trip");
 }
 
+/// `CacheStats` flattened: `(builds, hits, invalidations)` of tree,
+/// diameter, full, quality, partials and op artifacts, then
+/// recustomizations, recustomized parts and op-artifact patches.
+fn stats_row(s: &CacheStats) -> [u64; 21] {
+    let mut row = [0; 21];
+    let classes = [
+        s.tree,
+        s.diameter,
+        s.full,
+        s.quality,
+        s.partials,
+        s.op_artifacts,
+    ];
+    for (i, a) in classes.iter().enumerate() {
+        row[3 * i..3 * i + 3].copy_from_slice(&[a.builds, a.hits, a.invalidations]);
+    }
+    row[18..].copy_from_slice(&[
+        s.recustomizations,
+        s.recustomized_parts,
+        s.op_artifact_patches,
+    ]);
+    row
+}
+
+/// Every `CacheStats` counter after each step of one scripted sequence
+/// that reaches every cache path: plain builds and hits, per-`δ̂`
+/// partials, the shared participation-map artifact, an incremental
+/// re-customization with its op-artifact patch, a wholesale partition
+/// replacement, the weight-scoped MST report, and a `Sim`-epoch bump.
+#[test]
+fn cache_stats_are_pinned_through_a_scripted_sequence() {
+    #[rustfmt::skip]
+    const PINS: &[(&str, [u64; 21])] = &[
+        // step             tree     diameter full      quality   partials op       rc pa pt
+        ("tree",          [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
+        ("diameter",      [1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
+        ("quality",       [1, 2, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
+        ("partial(1)",    [1, 3, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0]),
+        ("partial(2)",    [1, 4, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0]),
+        ("aggregate",     [1, 5, 0, 1, 0, 0, 1, 3, 0, 1, 2, 0, 2, 0, 0, 1, 0, 0, 0, 0, 0]),
+        ("aggregate",     [1, 6, 0, 1, 0, 0, 1, 6, 0, 1, 4, 0, 2, 0, 0, 1, 1, 0, 0, 0, 0]),
+        ("gossip",        [1, 7, 0, 1, 0, 0, 1, 9, 0, 1, 6, 0, 2, 0, 0, 1, 2, 0, 0, 0, 0]),
+        ("reassign_parts",[1, 7, 0, 1, 0, 0, 1, 9, 0, 1, 6, 0, 2, 0, 0, 1, 2, 0, 0, 0, 0]),
+        ("aggregate",     [1, 9, 0, 1, 0, 0, 1, 11, 0, 1, 8, 0, 2, 0, 0, 1, 2, 0, 1, 2, 1]),
+        ("set_partition", [1, 9, 0, 1, 0, 0, 1, 11, 0, 1, 8, 0, 2, 0, 0, 1, 2, 0, 1, 2, 1]),
+        ("mst(w1)",       [1, 9, 0, 1, 0, 0, 1, 11, 0, 1, 8, 0, 2, 0, 0, 2, 2, 0, 1, 2, 1]),
+        ("mst(w1)",       [1, 9, 0, 1, 0, 0, 1, 11, 0, 1, 8, 0, 2, 0, 0, 2, 3, 0, 1, 2, 1]),
+        ("mst(w2)",       [1, 9, 0, 1, 0, 0, 1, 11, 0, 1, 8, 0, 2, 0, 0, 3, 3, 1, 1, 2, 1]),
+        ("config_mut",    [1, 9, 0, 1, 0, 0, 1, 11, 0, 1, 8, 0, 2, 0, 0, 3, 3, 1, 1, 2, 1]),
+        ("prepare",       [1, 12, 0, 1, 0, 0, 2, 12, 1, 2, 8, 1, 2, 0, 0, 3, 3, 1, 1, 2, 1]),
+    ];
+
+    let g = gen::grid(6, 6);
+    let mut s = Session::on(&g)
+        .partition(gen::rows_of_grid(6, 6))
+        .config(SessionConfig {
+            shortcut: ShortcutConfig {
+                witness_mode: WitnessMode::Skip,
+                ..ShortcutConfig::default()
+            },
+            ..SessionConfig::default()
+        })
+        .build()
+        .unwrap();
+    let values: Vec<u64> = (0..36).collect();
+    let w1 = EdgeWeights::random_unique(&g, &mut SmallRng::seed_from_u64(1));
+    let w2 = EdgeWeights::random_unique(&g, &mut SmallRng::seed_from_u64(2));
+    let mut got: Vec<(&str, [u64; 21])> = Vec::new();
+    let mut step = |name, s: &ShortcutSession<'_>| got.push((name, stats_row(s.cache_stats())));
+
+    let _ = s.tree();
+    step("tree", &s);
+    let _ = s.diameter();
+    step("diameter", &s);
+    let _ = s.quality();
+    step("quality", &s);
+    let _ = s.partial(1);
+    step("partial(1)", &s);
+    let _ = s.partial(2);
+    step("partial(2)", &s);
+    let _ = s.aggregate(&values, AggOp::Sum);
+    step("aggregate", &s);
+    let _ = s.aggregate(&values, AggOp::Max);
+    step("aggregate", &s);
+    let _ = s.gossip(
+        &values,
+        low_congestion_shortcuts::partwise::IdempotentOp::Min,
+    );
+    step("gossip", &s);
+    // Row 1's first node joins row 0: both rows stay connected.
+    let touched = s.reassign_parts(&[(NodeId(6), PartId(0))]).unwrap();
+    assert_eq!(touched, vec![PartId(0), PartId(1)]);
+    step("reassign_parts", &s);
+    let _ = s.aggregate(&values, AggOp::Sum);
+    step("aggregate", &s);
+    s.set_partition(gen::rows_of_grid(6, 6)).unwrap();
+    step("set_partition", &s);
+    let _ = s.mst(&w1);
+    step("mst(w1)", &s);
+    let _ = s.mst(&w1);
+    step("mst(w1)", &s);
+    let _ = s.mst(&w2);
+    step("mst(w2)", &s);
+    let _ = s.config_mut();
+    step("config_mut", &s);
+    s.prepare();
+    step("prepare", &s);
+
+    let rendered: String = got
+        .iter()
+        .map(|(name, row)| format!("        ({:<17}{row:?}),\n", format!("\"{name}\",")))
+        .collect();
+    assert_eq!(got, PINS, "cache counters drifted; observed:\n{rendered}");
+}
+
 /// `message_packing = 0` survives serde verbatim (no silent schema
 /// rewrite) and is normalized to 1 in exactly one place — simulator
 /// construction — so a zero-packing config behaves bit-identically to an
