@@ -38,10 +38,9 @@ impl PartwiseOp for ComponentsOp {
         });
         let mst = &report.mst;
         let (rounds, messages, bits) = (mst.rounds.total(), mst.messages, mst.bits);
-        let sim = session.config().mst_sim();
         op_report(
             session.graph(),
-            sim,
+            session.config().sim,
             rounds,
             messages,
             bits,
@@ -68,7 +67,7 @@ impl ComponentsOp {
     ) -> ComponentsReport {
         let weights = EdgeWeights::unit(g);
         let provider = ShortcutProvider::Backend(backend.clone());
-        let mst = boruvka(g, &weights, root, &provider, cfg, cfg.mst_sim());
+        let mst = boruvka(g, &weights, root, &provider, cfg);
         let mut uf = UnionFind::new(g.num_nodes());
         for &e in &mst.edges {
             let (u, v) = g.endpoints(e);

@@ -122,10 +122,9 @@ impl PartwiseOp for MincutOp {
             self.run_on(s.graph(), s.root(), s.backend(), s.config())
         });
         let rounds = report.rounds.total() + report.eval_rounds;
-        let sim = session.config().mincut_sim();
         op_report(
             session.graph(),
-            sim,
+            session.config().sim,
             rounds,
             report.messages,
             report.bits,
@@ -141,7 +140,7 @@ impl MincutOp {
     /// 2·⌈ln n⌉ + 4)`), each by Boruvka configured like
     /// [`MstOp::run_on`](crate::mst::MstOp::run_on) with `backend` as the
     /// shortcut provider; its aggregations and the evaluation
-    /// convergecasts run on [`SessionConfig::mincut_sim`].
+    /// convergecasts run on [`SessionConfig::sim`].
     ///
     /// # Panics
     ///
@@ -161,7 +160,6 @@ impl MincutOp {
             by_degree.min(2 * (n as f64).ln().ceil() as usize + 4)
         });
         let provider = ShortcutProvider::Backend(backend.clone());
-        let sim = cfg.mincut_sim();
 
         let mut loads = EdgeWeights::from_vec(g, vec![1; g.num_edges()]);
         let mut rounds = MstRounds::default();
@@ -171,7 +169,7 @@ impl MincutOp {
         let mut best = u64::MAX;
 
         for _ in 0..q {
-            let report = boruvka(g, &loads, root, &provider, cfg, sim);
+            let report = boruvka(g, &loads, root, &provider, cfg);
             rounds.exchange += report.rounds.exchange;
             rounds.construction += report.rounds.construction;
             rounds.aggregation += report.rounds.aggregation;
@@ -186,7 +184,7 @@ impl MincutOp {
             // Simulate the deg-sum convergecast of the evaluation (one per
             // tree); the LCA-token half is centralized (see module docs).
             let tk = TreeKnowledge::from_rooted_tree(g, &tree);
-            let run = Simulator::new(g, sim)
+            let run = Simulator::new(g, cfg.sim)
                 .run(|v, _| ConvergecastProgram::new(&tk, v, AggOp::Sum, g.degree(v) as u64));
             eval_rounds += run.metrics.rounds;
             messages += run.metrics.messages;

@@ -181,8 +181,7 @@ fn unpack(p: u64) -> EdgeId {
 }
 
 /// Distributed Boruvka over shortcuts, with its part-wise aggregations on
-/// simulator `sim` (MST and connectivity pass [`SessionConfig::mst_sim`],
-/// min-cut passes [`SessionConfig::mincut_sim`]).
+/// [`SessionConfig::sim`].
 ///
 /// Returns the exact minimum spanning forest (per the `(weight, edge-id)`
 /// tie-break) together with simulated round counts. `root` is the BFS-tree
@@ -198,7 +197,6 @@ pub(crate) fn boruvka(
     root: NodeId,
     provider: &ShortcutProvider,
     cfg: &SessionConfig,
-    sim: SimConfig,
 ) -> MstReport {
     let n = g.num_nodes();
     assert!(n > 0, "empty graph");
@@ -218,7 +216,7 @@ pub(crate) fn boruvka(
                 op,
                 leaders: None,
             }
-            .run_with(g, partition, participation, &cfg.aggregate, sim)
+            .run_with(g, partition, participation, &cfg.aggregate, cfg.sim)
         };
 
     // Fragment state (centralized bookkeeping of the distributed state).
@@ -371,11 +369,10 @@ impl PartwiseOp for MstOp {
             let provider = ShortcutProvider::Backend(s.backend().clone());
             self.run_on(s.graph(), s.weights(), s.root(), &provider, s.config())
         });
-        let sim = session.config().mst_sim();
         let rounds = report.rounds.total();
         op_report(
             session.graph(),
-            sim,
+            session.config().sim,
             rounds,
             report.messages,
             report.bits,
@@ -388,7 +385,7 @@ impl MstOp {
     /// Runs Boruvka over explicit inputs (the non-session path):
     /// `provider` supplies each phase's shortcuts, `cfg.mst` the seed,
     /// phase cap and small-fragment policy, and the part-wise aggregations
-    /// run with `cfg.aggregate` on [`SessionConfig::mst_sim`].
+    /// run with `cfg.aggregate` on [`SessionConfig::sim`].
     ///
     /// # Panics
     ///
@@ -402,7 +399,7 @@ impl MstOp {
         provider: &ShortcutProvider,
         cfg: &SessionConfig,
     ) -> MstReport {
-        boruvka(g, weights, root, provider, cfg, cfg.mst_sim())
+        boruvka(g, weights, root, provider, cfg)
     }
 }
 

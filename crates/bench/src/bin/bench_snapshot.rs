@@ -53,7 +53,7 @@
 use lcs_congest::protocols::{AggOp, BfsTreeProgram};
 use lcs_congest::{PhaseTimings, SimConfig, SimMode, Simulator};
 use lcs_core::dist::{DistConfig, DistMode};
-use lcs_core::session::{Backend, Session, SessionConfig, TreeSource};
+use lcs_core::session::{Backend, Session, SessionConfig};
 use lcs_core::{full_shortcut, Partition, ShortcutConfig, SweepOutcome, WitnessMode};
 use lcs_graph::{bfs, gen, Graph, NodeId};
 use lcs_partwise::{AggregateOp, SessionPartwiseOps};
@@ -280,7 +280,7 @@ fn partial_entry(
     let mut sessions: Vec<_> = (0..reps)
         .map(|_| {
             Session::on(g)
-                .tree(TreeSource::Bfs(NodeId(0)))
+                .root(NodeId(0))
                 .partition_object(partition.clone())
                 .backend(backend.clone())
                 .config(session_config.clone())

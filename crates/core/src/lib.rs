@@ -7,7 +7,7 @@
 //! A shortcut is built once per topology and *served* to many part-wise
 //! operations — that serving shape is the [`session`] module:
 //! [`Session::on(&graph)`](Session::on) starts a typed builder
-//! (`.tree(..)`, `.partition(..)`, `.backend(..)`, `.config(..)`), and the
+//! (`.root(..)`, `.partition(..)`, `.backend(..)`, `.config(..)`), and the
 //! resulting [`ShortcutSession`] lazily computes and caches the BFS tree,
 //! diameter bounds, the full shortcut (with quality report and dense-minor
 //! certificate), and per-`δ̂` partial sweeps. Construction runs on one of
@@ -18,12 +18,12 @@
 //! [`SessionConfig`].
 //!
 //! ```
-//! use lcs_core::session::{Backend, Session, TreeSource};
+//! use lcs_core::session::{Backend, Session};
 //! use lcs_graph::{gen, NodeId};
 //!
 //! let g = gen::grid(8, 8);
 //! let mut session = Session::on(&g)
-//!     .tree(TreeSource::Bfs(NodeId(0)))
+//!     .root(NodeId(0))
 //!     .partition(gen::rows_of_grid(8, 8))
 //!     .backend(Backend::Centralized)
 //!     .build()?;
@@ -88,7 +88,7 @@ pub use partition::{Partition, PartitionError};
 pub use quality::{measure_quality, PartQuality, QualityReport};
 pub use session::{
     ArtifactStats, Backend, CacheStats, Epochs, Input, OpReport, PartwiseOp, Session,
-    SessionBuilder, SessionConfig, ShortcutSession, TreeSource,
+    SessionBuilder, SessionConfig, ShortcutSession,
 };
 pub use shortcut::Shortcut;
 pub use source::{GeneratorSpec, GraphSource, GraphSourceError, PartitionSource, ResolvedGraph};

@@ -70,14 +70,28 @@ pub fn measure_quality(
 ) -> QualityReport {
     let all: Vec<PartId> = partition.part_ids().collect();
     let per_part = measure_parts(g, partition, shortcut, &all);
+    QualityReport::from_rows(g, tree, shortcut, per_part)
+}
 
-    QualityReport {
-        max_congestion: shortcut.max_congestion(g),
-        max_blocks: per_part.iter().map(|p| p.blocks).max().unwrap_or(0),
-        max_dilation_lower: per_part.iter().map(|p| p.dilation_lower).max().unwrap_or(0),
-        max_dilation_upper: per_part.iter().map(|p| p.dilation_upper).max().unwrap_or(0),
-        tree_restricted: shortcut.is_tree_restricted(tree),
-        per_part,
+impl QualityReport {
+    /// Assembles the report of `shortcut` from its per-part rows: the
+    /// maxima over rows, the shortcut's congestion and its tree-restriction
+    /// flag. Shared by [`measure_quality`] and the session's incremental
+    /// re-measurement, which replaces only the touched parts' rows.
+    pub(crate) fn from_rows(
+        g: &Graph,
+        tree: &RootedTree,
+        shortcut: &Shortcut,
+        per_part: Vec<PartQuality>,
+    ) -> Self {
+        QualityReport {
+            max_congestion: shortcut.max_congestion(g),
+            max_blocks: per_part.iter().map(|p| p.blocks).max().unwrap_or(0),
+            max_dilation_lower: per_part.iter().map(|p| p.dilation_lower).max().unwrap_or(0),
+            max_dilation_upper: per_part.iter().map(|p| p.dilation_upper).max().unwrap_or(0),
+            tree_restricted: shortcut.is_tree_restricted(tree),
+            per_part,
+        }
     }
 }
 

@@ -8,12 +8,12 @@
 //! so. A [`ShortcutSession`] is built via the [`Session`] builder:
 //!
 //! ```
-//! use lcs_core::session::{Backend, Session, TreeSource};
+//! use lcs_core::session::{Backend, Session};
 //! use lcs_graph::{gen, NodeId};
 //!
 //! let g = gen::grid(8, 8);
 //! let mut session = Session::on(&g)
-//!     .tree(TreeSource::Bfs(NodeId(0)))
+//!     .root(NodeId(0))
 //!     .partition(gen::rows_of_grid(8, 8))
 //!     .backend(Backend::Centralized)
 //!     .build()?;
@@ -31,11 +31,17 @@
 //! The session caches the BFS tree, diameter bounds, the full shortcut
 //! (with quality report and dense-minor certificate), per-`δ̂` partial
 //! shortcuts, and typed per-op artifacts. Each cached artifact declares
-//! which of the five session [`Input`]s it depends on (the constants in
+//! which of the four session [`Input`]s it depends on (the constants in
 //! [`deps`]), and each input carries an epoch counter ([`Epochs`]): a
 //! cached value is served only while its recorded epochs agree with the
 //! current ones on every declared dependency, and is invalidated —
-//! precisely, lazily — when one of them bumps.
+//! precisely, lazily — when one of them bumps. One routine makes that
+//! check and counts its outcome in [`CacheStats`] for every artifact.
+//!
+//! The spanning tree is always the canonical BFS tree of the session root
+//! (the min-id-parent rule), the tree the distributed Theorem 1.5
+//! protocol builds for itself, so every backend restricts its shortcut to
+//! the same tree that quality measurement and unicast routing use.
 //!
 //! # Mutating a live session
 //!
@@ -66,8 +72,8 @@
 //! `lcs_partwise` and `lcs_algos`; the umbrella crate's `facade` module
 //! re-exports the method-call surface `session.aggregate(..)`,
 //! `session.mst(..)`, …). Every operation returns a uniform [`OpReport`].
-//! All knobs live in one serde-able [`SessionConfig`] with per-op
-//! overrides.
+//! All knobs live in one serde-able [`SessionConfig`]; every op runs on
+//! its session-wide simulator setting.
 
 use crate::dist::{distributed_full_shortcut, distributed_partial_shortcut, DistConfig, DistMode};
 use crate::full::run_doubling_search;
@@ -85,7 +91,7 @@ use lcs_graph::weights::EdgeWeights;
 use lcs_graph::{bfs, EdgeId, Graph, NodeId, PartId, RootedTree};
 use serde::{Deserialize, Serialize};
 use std::any::{Any, TypeId};
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 use std::sync::Arc;
 
@@ -271,21 +277,6 @@ impl From<PartitionError> for SessionError {
     }
 }
 
-/// Where the session's spanning tree comes from.
-#[derive(Clone, Debug)]
-pub enum TreeSource {
-    /// Run BFS from this root (the canonical min-id-parent rule, identical
-    /// to what the distributed BFS protocol builds).
-    Bfs(NodeId),
-    /// Use a caller-provided rooted tree (e.g. deserialized from a prior
-    /// run, or a non-BFS tree for experiments). Note: the distributed
-    /// backends run the Theorem 1.5 protocol, which builds its own BFS
-    /// tree — they accept a provided tree only if it equals that canonical
-    /// tree (asserted at construction time); arbitrary trees require
-    /// [`Backend::Centralized`].
-    Provided(RootedTree),
-}
-
 /// The execution backend shortcut construction runs on.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum Backend {
@@ -317,7 +308,7 @@ impl Backend {
     }
 }
 
-/// The five mutable inputs of the session's artifact graph. Every cached
+/// The four mutable inputs of the session's artifact graph. Every cached
 /// artifact declares the subset it depends on (see [`deps`]); mutating an
 /// input bumps its epoch in [`Epochs`] and thereby invalidates exactly the
 /// artifacts that declared it.
@@ -325,8 +316,6 @@ impl Backend {
 pub enum Input {
     /// The graph topology (immutable today — the epoch is reserved).
     Topology,
-    /// The spanning tree source (immutable today — the epoch is reserved).
-    Tree,
     /// The partition, mutated by
     /// [`set_partition`](ShortcutSession::set_partition) and
     /// [`reassign_parts`](ShortcutSession::reassign_parts).
@@ -347,8 +336,6 @@ pub enum Input {
 pub struct Epochs {
     /// Epoch of the graph topology.
     pub topology: u64,
-    /// Epoch of the spanning tree.
-    pub tree: u64,
     /// Epoch of the partition input.
     pub partition: u64,
     /// Epoch of the edge-weights input.
@@ -362,7 +349,6 @@ impl Epochs {
     pub fn of(&self, input: Input) -> u64 {
         match input {
             Input::Topology => self.topology,
-            Input::Tree => self.tree,
             Input::Partition => self.partition,
             Input::Weights => self.weights,
             Input::Sim => self.sim,
@@ -372,7 +358,6 @@ impl Epochs {
     fn bump(&mut self, input: Input) {
         let slot = match input {
             Input::Topology => &mut self.topology,
-            Input::Tree => &mut self.tree,
             Input::Partition => &mut self.partition,
             Input::Weights => &mut self.weights,
             Input::Sim => &mut self.sim,
@@ -392,14 +377,15 @@ impl Epochs {
 pub mod deps {
     use super::Input;
 
-    /// The spanning tree: topology and tree source only.
-    pub const TREE: &[Input] = &[Input::Topology, Input::Tree];
+    /// The spanning tree: the topology only (the tree is the canonical
+    /// BFS tree of the fixed session root).
+    pub const TREE: &[Input] = &[Input::Topology];
     /// Diameter bounds: same scope as the tree.
-    pub const DIAMETER: &[Input] = &[Input::Topology, Input::Tree];
+    pub const DIAMETER: &[Input] = &[Input::Topology];
     /// Shortcut-scoped artifacts — the full shortcut, its quality report,
-    /// per-`δ̂` partials, and the default for op artifacts (e.g. the
+    /// per-`δ̂` partials, and op artifacts derived from them (e.g. the
     /// partwise participation map).
-    pub const SHORTCUT: &[Input] = &[Input::Topology, Input::Tree, Input::Partition, Input::Sim];
+    pub const SHORTCUT: &[Input] = &[Input::Topology, Input::Partition, Input::Sim];
     /// Weighted whole-graph algorithms (MST): weights but no partition.
     pub const WEIGHTED: &[Input] = &[Input::Topology, Input::Weights, Input::Sim];
     /// Unweighted whole-graph algorithms (connectivity, min-cut).
@@ -465,11 +451,19 @@ impl<T> Slot<T> {
     }
 }
 
-/// A typed op artifact with its declared dependency set.
-struct OpSlot {
-    value: Arc<dyn Any + Send + Sync>,
-    stamp: Epochs,
-    deps: &'static [Input],
+/// A typed op artifact, type-erased so one map holds every artifact type.
+type OpSlot = Slot<Arc<dyn Any + Send + Sync>>;
+
+/// How a cache lookup must refresh its slot before serving it.
+enum Refresh {
+    /// The slot is fresh: serve it as is.
+    Hit,
+    /// The slot is stale only through tracked
+    /// [`reassign_parts`](ShortcutSession::reassign_parts) churn touching
+    /// these parts (sorted): patch them.
+    Patch(Vec<PartId>),
+    /// The slot is empty, or stale in a way no patch covers: build it.
+    Build,
 }
 
 /// One entry of the partition-mutation log: the partition epoch *after*
@@ -485,9 +479,9 @@ enum PartitionDelta {
 /// the window rebuild from scratch instead of patching.
 const PARTITION_LOG_CAP: usize = 64;
 
-/// Per-op overrides for leader-based aggregation and gossip; Boruvka's
-/// per-phase aggregations (MST, connectivity, min-cut) use the same
-/// `delay_range` and `seed`.
+/// Options of leader-based aggregation and gossip; Boruvka's per-phase
+/// aggregations (MST, connectivity, min-cut) use the same `delay_range`
+/// and `seed`.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct AggregateOpts {
     /// Leaders delay their start uniformly in `[0, delay_range)` rounds;
@@ -495,8 +489,6 @@ pub struct AggregateOpts {
     pub delay_range: u32,
     /// Seed for the delays.
     pub seed: u64,
-    /// Simulator override for this op; `None` uses [`SessionConfig::sim`].
-    pub sim: Option<SimConfig>,
 }
 
 impl Default for AggregateOpts {
@@ -504,20 +496,17 @@ impl Default for AggregateOpts {
         AggregateOpts {
             delay_range: 0,
             seed: 0xde1af,
-            sim: None,
         }
     }
 }
 
-/// Per-op overrides for multi-unicast routing.
+/// Options of multi-unicast routing.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct UnicastOpts {
     /// Packets start after a uniform random delay in `[0, delay_range)`.
     pub delay_range: u32,
     /// Seed for delays and queue priorities.
     pub seed: u64,
-    /// Simulator override for this op; `None` uses [`SessionConfig::sim`].
-    pub sim: Option<SimConfig>,
 }
 
 impl Default for UnicastOpts {
@@ -525,14 +514,13 @@ impl Default for UnicastOpts {
         UnicastOpts {
             delay_range: 0,
             seed: 0x0417,
-            sim: None,
         }
     }
 }
 
-/// Per-op overrides for Boruvka MST / connectivity (the shortcut
-/// provider is the session's [`Backend`]). Min-cut's packed trees use the
-/// same seed, phase cap and small-fragment policy.
+/// Options of Boruvka MST / connectivity (the shortcut provider is the
+/// session's [`Backend`]). Min-cut's packed trees use the same seed,
+/// phase cap and small-fragment policy.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct MstOpts {
     /// Seed for the merge coin flips.
@@ -542,8 +530,6 @@ pub struct MstOpts {
     /// Skip shortcutting fragments of at most `2D + 1` nodes (their own
     /// diameter already meets the dilation bound).
     pub skip_small_fragments: bool,
-    /// Simulator override for this op; `None` uses [`SessionConfig::sim`].
-    pub sim: Option<SimConfig>,
 }
 
 impl Default for MstOpts {
@@ -552,43 +538,40 @@ impl Default for MstOpts {
             seed: 0xb0_aa_12,
             max_phases: None,
             skip_small_fragments: true,
-            sim: None,
         }
     }
 }
 
-/// Per-op overrides for the min-cut approximation.
+/// Options of the min-cut approximation.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct MincutOpts {
     /// Number of trees to pack; `None` = `min(min_degree, 2·⌈ln n⌉ + 4)`.
     pub trees: Option<usize>,
-    /// Simulator override for this op; `None` uses [`SessionConfig::sim`].
-    pub sim: Option<SimConfig>,
 }
 
 /// Every knob of the facade in one serde-able struct: shortcut-construction
-/// parameters, the session-wide simulator configuration, and per-op
-/// override blocks — a single value a service can load from disk. It is
+/// parameters, the simulator configuration every op runs on, and per-op
+/// option blocks — a single value a service can load from disk. It is
 /// the one config schema of every op: the session path and each op's
 /// direct `run_on` entry read the same fields.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct SessionConfig {
     /// Theorem 3.1 construction constants and witness policy.
     pub shortcut: ShortcutConfig,
-    /// Simulator settings every op inherits (ops force the queue mode they
+    /// Simulator settings every op runs on (ops force the queue mode they
     /// need; [`SimConfig::threads`] selects the sharded executor and
     /// [`SimConfig::message_packing`] the multi-value packing factor —
     /// `k > 1` coalesces burst sends into multi-value CONGEST messages,
     /// cutting rounds on streaming workloads like the sketch construction
     /// while leaving every result bit-identical).
     pub sim: SimConfig,
-    /// Aggregation overrides.
+    /// Aggregation and gossip options.
     pub aggregate: AggregateOpts,
-    /// Unicast overrides.
+    /// Unicast options.
     pub unicast: UnicastOpts,
-    /// MST / connectivity overrides.
+    /// MST / connectivity options.
     pub mst: MstOpts,
-    /// Min-cut overrides.
+    /// Min-cut options.
     pub mincut: MincutOpts,
     /// Declarative partition source, resolved at
     /// [`build`](SessionBuilder::build) time when the builder was given
@@ -609,28 +592,6 @@ pub struct SessionConfig {
     /// builder from the recorded source, and servers canonicalize it into
     /// their dedup keys.
     pub graph_source: Option<GraphSource>,
-}
-
-impl SessionConfig {
-    /// The simulator configuration for aggregation/gossip ops.
-    pub fn aggregate_sim(&self) -> SimConfig {
-        self.aggregate.sim.unwrap_or(self.sim)
-    }
-
-    /// The simulator configuration for unicast routing.
-    pub fn unicast_sim(&self) -> SimConfig {
-        self.unicast.sim.unwrap_or(self.sim)
-    }
-
-    /// The simulator configuration for MST / connectivity.
-    pub fn mst_sim(&self) -> SimConfig {
-        self.mst.sim.unwrap_or(self.sim)
-    }
-
-    /// The simulator configuration for min-cut.
-    pub fn mincut_sim(&self) -> SimConfig {
-        self.mincut.sim.unwrap_or(self.sim)
-    }
 }
 
 /// Simulated cost of constructing the session's cached artifacts (zero for
@@ -761,7 +722,7 @@ impl Session {
     pub fn on(g: &Graph) -> SessionBuilder<'_> {
         SessionBuilder {
             g,
-            tree: None,
+            root: NodeId(0),
             parts: None,
             partition: None,
             weights: None,
@@ -777,7 +738,7 @@ impl Session {
 /// needs it.
 pub struct SessionBuilder<'g> {
     g: &'g Graph,
-    tree: Option<TreeSource>,
+    root: NodeId,
     parts: Option<Vec<Vec<NodeId>>>,
     partition: Option<Partition>,
     weights: Option<EdgeWeights>,
@@ -787,9 +748,9 @@ pub struct SessionBuilder<'g> {
 }
 
 impl<'g> SessionBuilder<'g> {
-    /// Sets the tree source (default: BFS from `NodeId(0)`).
-    pub fn tree(mut self, source: TreeSource) -> Self {
-        self.tree = Some(source);
+    /// Sets the root of the session's BFS tree (default: `NodeId(0)`).
+    pub fn root(mut self, root: NodeId) -> Self {
+        self.root = root;
         self
     }
 
@@ -882,12 +843,6 @@ impl<'g> SessionBuilder<'g> {
         if let Some(w) = &self.weights {
             assert_eq!(w.len(), self.g.num_edges(), "one weight per edge required");
         }
-        let source = self.tree.unwrap_or(TreeSource::Bfs(NodeId(0)));
-        let (root, tree) = match source {
-            TreeSource::Bfs(r) => (r, None),
-            TreeSource::Provided(t) => (t.root(), Some(t)),
-        };
-        let tree_provided = tree.is_some();
         let stamp = Epochs::default();
         let full = self.provided_shortcut.map(|shortcut| {
             Slot::new(
@@ -902,14 +857,13 @@ impl<'g> SessionBuilder<'g> {
         });
         Ok(ShortcutSession {
             g: self.g,
-            root,
+            root: self.root,
             partition,
             weights: self.weights,
             backend: self.backend,
             config: self.config,
             epochs: stamp,
-            tree: tree.map(|t| Slot::new(t, stamp)),
-            tree_provided,
+            tree: None,
             diam: None,
             full,
             quality: None,
@@ -921,7 +875,7 @@ impl<'g> SessionBuilder<'g> {
     }
 }
 
-/// A prepared-topology session: one graph, one tree, one backend — with a
+/// A prepared-topology session: one graph, one root, one backend — with a
 /// mutable partition and mutable weights. Artifacts are computed lazily,
 /// cached under per-input epoch stamps, invalidated precisely when a
 /// declared dependency changes, and served to any number of operations.
@@ -936,9 +890,6 @@ pub struct ShortcutSession<'g> {
     /// Current epoch of each [`Input`].
     epochs: Epochs,
     tree: Option<Slot<RootedTree>>,
-    /// Whether `tree` came from [`TreeSource::Provided`] (the distributed
-    /// backends must verify it matches the protocol's own BFS tree).
-    tree_provided: bool,
     diam: Option<Slot<DiameterBounds>>,
     full: Option<Slot<FullArtifact>>,
     quality: Option<Slot<Arc<QualityReport>>>,
@@ -1207,19 +1158,11 @@ impl<'g> ShortcutSession<'g> {
     /// Two-sided diameter bounds of the root's component (double-sweep;
     /// computed on first access).
     pub fn diameter(&mut self) -> DiameterBounds {
-        let now = self.epochs;
-        if let Some(slot) = &self.diam {
-            if slot.fresh(&now, deps::DIAMETER) {
-                self.stats.diameter.hits += 1;
-                return slot.value;
-            }
-            self.stats.diameter.invalidations += 1;
+        let stamp = self.diam.as_ref().map(|s| s.stamp);
+        if self.must_build(|c| &mut c.diameter, stamp, deps::DIAMETER) {
+            self.diam = Some(Slot::new(diameter_bounds(self.g, self.root), self.epochs));
         }
-        self.stats.diameter.builds += 1;
-        let slot = Slot::new(diameter_bounds(self.g, self.root), now);
-        let value = slot.value;
-        self.diam = Some(slot);
-        value
+        self.diam.as_ref().expect("just ensured").value
     }
 
     /// The full-shortcut artifact (constructed on first access via the
@@ -1313,47 +1256,17 @@ impl<'g> ShortcutSession<'g> {
         }
     }
 
-    /// The per-op-type derived-artifact cache with the default dependency
-    /// set [`deps::SHORTCUT`]: returns the artifact of type `T`, building
-    /// it with `build` from the graph, partition, and cached full shortcut
-    /// on first access and serving the same [`Arc`] afterwards.
+    /// The per-op-type derived-artifact cache: returns the artifact of
+    /// type `T`, building it with `build` on first access and serving the
+    /// same [`Arc`] while every input in `deps` is unchanged; when one
+    /// bumps, the slot is invalidated and `build` runs again.
     ///
-    /// This is where ops park preprocessing that depends only on the
-    /// session's shortcut-scoped artifacts — e.g. the partwise O(n + m)
-    /// participation map, which the session previously rebuilt on every
-    /// aggregate/gossip call. Keyed by [`TypeId`], so each artifact type
-    /// has exactly one slot per session. The slot is wired into the
-    /// artifact graph: mutating the partition (or any other declared
-    /// dependency) invalidates it, and the next access rebuilds against
-    /// the refreshed shortcut. Use
-    /// [`op_artifact_with`](Self::op_artifact_with) to declare a different
-    /// dependency set, or
-    /// [`op_artifact_patched`](Self::op_artifact_patched) to refresh
-    /// incrementally under part churn.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the session has no partition (like every partition op).
-    pub fn op_artifact<T, F>(&mut self, build: F) -> Arc<T>
-    where
-        T: Any + Send + Sync,
-        F: FnOnce(&Graph, &Partition, &Shortcut) -> T,
-    {
-        self.op_artifact_with(deps::SHORTCUT, move |s| {
-            s.prepare();
-            build(
-                s.g,
-                s.partition.as_ref().expect(NO_PARTITION),
-                &s.full.as_ref().expect("prepared").value.shortcut,
-            )
-        })
-    }
-
-    /// [`op_artifact`](Self::op_artifact) with an explicit dependency set
-    /// and full session access in the builder: the artifact of type `T` is
-    /// cached under the current epochs and served while every input in
-    /// `deps` is unchanged; when one bumps, the slot is invalidated and
-    /// `build` runs again.
+    /// This is where ops park preprocessing that depends only on cached
+    /// session state — e.g. the partwise O(n + m) participation map
+    /// ([`deps::SHORTCUT`]) or the MST report ([`deps::WEIGHTED`]). Keyed
+    /// by [`TypeId`], so each artifact type has exactly one slot per
+    /// session. Use [`op_artifact_patched`](Self::op_artifact_patched) to
+    /// refresh incrementally under part churn.
     ///
     /// `build` may drive the session (e.g. call
     /// [`prepare`](Self::prepare) or read
@@ -1363,35 +1276,7 @@ impl<'g> ShortcutSession<'g> {
         T: Any + Send + Sync,
         F: FnOnce(&mut ShortcutSession<'g>) -> T,
     {
-        let key = TypeId::of::<T>();
-        let now = self.epochs;
-        if let Some(slot) = self.op_artifacts.get(&key) {
-            if slot.stamp.agrees_on(&now, slot.deps) {
-                self.stats.op_artifacts.hits += 1;
-                return slot
-                    .value
-                    .clone()
-                    .downcast::<T>()
-                    .unwrap_or_else(|_| unreachable!("slot is keyed by this TypeId"));
-            }
-            self.op_artifacts.remove(&key);
-            self.stats.op_artifacts.invalidations += 1;
-        }
-        let built = Arc::new(build(self));
-        debug_assert_eq!(
-            self.epochs, now,
-            "op-artifact builders must not mutate session inputs"
-        );
-        self.stats.op_artifacts.builds += 1;
-        self.op_artifacts.insert(
-            key,
-            OpSlot {
-                value: built.clone(),
-                stamp: now,
-                deps,
-            },
-        );
-        built
+        self.typed_op_artifact(deps, build, None::<fn(&mut Self, &T, &[PartId]) -> T>)
     }
 
     /// [`op_artifact_with`](Self::op_artifact_with) plus an incremental
@@ -1418,47 +1303,44 @@ impl<'g> ShortcutSession<'g> {
         F: FnOnce(&mut ShortcutSession<'g>) -> T,
         P: FnOnce(&mut ShortcutSession<'g>, &T, &[PartId]) -> T,
     {
+        self.typed_op_artifact(deps, build, Some(patch))
+    }
+
+    /// The typed op-artifact slot of `T`: served, patched (when `patch` is
+    /// given) or built as [`refresh`](Self::refresh) decides.
+    fn typed_op_artifact<T, F, P>(&mut self, deps: &[Input], build: F, patch: Option<P>) -> Arc<T>
+    where
+        T: Any + Send + Sync,
+        F: FnOnce(&mut ShortcutSession<'g>) -> T,
+        P: FnOnce(&mut ShortcutSession<'g>, &T, &[PartId]) -> T,
+    {
+        let downcast = |value: Arc<dyn Any + Send + Sync>| {
+            value
+                .downcast::<T>()
+                .unwrap_or_else(|_| unreachable!("slot is keyed by this TypeId"))
+        };
         let key = TypeId::of::<T>();
+        let stamp = self.op_artifacts.get(&key).map(|s| s.stamp);
         let now = self.epochs;
-        let cached = self.op_artifacts.get(&key).map(|s| (s.stamp, s.deps));
-        if let Some((stamp, slot_deps)) = cached {
-            if !stamp.agrees_on(&now, slot_deps) {
-                // Patchable iff the only stale dependency is the partition
-                // and every change since the stamp was a tracked
-                // reassignment.
-                let others: Vec<Input> = slot_deps
-                    .iter()
-                    .copied()
-                    .filter(|&d| d != Input::Partition)
-                    .collect();
-                let touched = if stamp.agrees_on(&now, &others) {
-                    self.parts_changed_since(stamp.partition)
-                } else {
-                    None
-                };
-                if let Some(touched) = touched {
-                    let old = self
-                        .op_artifacts
-                        .remove(&key)
-                        .expect("checked above")
-                        .value
-                        .downcast::<T>()
-                        .unwrap_or_else(|_| unreachable!("slot is keyed by this TypeId"));
-                    let patched = Arc::new(patch(self, &old, &touched));
-                    self.stats.op_artifact_patches += 1;
-                    self.op_artifacts.insert(
-                        key,
-                        OpSlot {
-                            value: patched.clone(),
-                            stamp: self.epochs,
-                            deps,
-                        },
-                    );
-                    return patched;
-                }
+        let value = match self.refresh(|c| &mut c.op_artifacts, stamp, deps, patch.is_some()) {
+            Refresh::Hit => return downcast(self.op_artifacts[&key].value.clone()),
+            Refresh::Patch(touched) => {
+                let old = downcast(self.op_artifacts.remove(&key).expect("stale").value);
+                self.stats.op_artifact_patches += 1;
+                let patch = patch.expect("only patchable slots are patched");
+                Arc::new(patch(self, &old, &touched))
             }
-        }
-        self.op_artifact_with(deps, build)
+            Refresh::Build => Arc::new(build(self)),
+        };
+        debug_assert_eq!(
+            self.epochs, now,
+            "op-artifact builders must not mutate session inputs"
+        );
+        self.op_artifacts.insert(
+            key,
+            Slot::new(value.clone() as Arc<dyn Any + Send + Sync>, now),
+        );
+        value
     }
 
     /// Ensures tree and full shortcut (and quality, when a partition
@@ -1550,23 +1432,13 @@ impl<'g> ShortcutSession<'g> {
         if self.partition.is_none() {
             return Err(SessionError::NoPartition);
         }
-        let now = self.epochs;
-        let stale = self
-            .partials
-            .get(&delta_hat)
-            .is_some_and(|s| !s.fresh(&now, deps::SHORTCUT));
-        if stale {
-            self.partials.remove(&delta_hat);
-            self.stats.partials.invalidations += 1;
-        }
-        if !self.partials.contains_key(&delta_hat) {
+        let stamp = self.partials.get(&delta_hat).map(|s| s.stamp);
+        if self.must_build(|c| &mut c.partials, stamp, deps::SHORTCUT) {
             let artifact = self.build_partial(delta_hat);
-            self.stats.partials.builds += 1;
-            self.partials.insert(delta_hat, Slot::new(artifact, now));
-        } else {
-            self.stats.partials.hits += 1;
+            self.partials
+                .insert(delta_hat, Slot::new(artifact, self.epochs));
         }
-        Ok(&self.partials.get(&delta_hat).expect("just inserted").value)
+        Ok(&self.partials[&delta_hat].value)
     }
 
     /// Drives one operation over the cached artifacts. Equivalent to the
@@ -1576,30 +1448,72 @@ impl<'g> ShortcutSession<'g> {
         op.run(self)
     }
 
-    fn ensure_tree(&mut self) {
-        let now = self.epochs;
-        if let Some(slot) = &self.tree {
-            if slot.fresh(&now, deps::TREE) {
-                self.stats.tree.hits += 1;
-                return;
+    /// The cache's one freshness check, and the one place its
+    /// [`ArtifactStats`] are counted: how the slot of an artifact of class
+    /// `class`, stamped `stamp` (`None`: empty) and depending on `deps`,
+    /// must be refreshed before it is served. A stale slot is patched only
+    /// if `patchable` and [`churn_since`](Self::churn_since) covers its
+    /// staleness; a patch counts as neither hit nor build nor
+    /// invalidation (each patchable artifact keeps its own patch counter).
+    fn refresh(
+        &mut self,
+        class: fn(&mut CacheStats) -> &mut ArtifactStats,
+        stamp: Option<Epochs>,
+        deps: &[Input],
+        patchable: bool,
+    ) -> Refresh {
+        let outcome = match stamp {
+            Some(s) if s.agrees_on(&self.epochs, deps) => Refresh::Hit,
+            Some(s) if patchable => self
+                .churn_since(&s, deps)
+                .map_or(Refresh::Build, Refresh::Patch),
+            _ => Refresh::Build,
+        };
+        let stats = class(&mut self.stats);
+        match outcome {
+            Refresh::Hit => stats.hits += 1,
+            Refresh::Patch(_) => {}
+            Refresh::Build => {
+                if stamp.is_some() {
+                    stats.invalidations += 1;
+                }
+                stats.builds += 1;
             }
-            self.stats.tree.invalidations += 1;
         }
-        self.stats.tree.builds += 1;
-        self.tree = Some(Slot::new(bfs::bfs_tree(self.g, self.root), now));
+        outcome
     }
 
-    /// The union of parts touched by reassignments between partition epoch
-    /// `since` and now, or `None` when the span contains a wholesale
-    /// replacement or reaches past the bounded mutation log.
-    fn parts_changed_since(&self, since: u64) -> Option<Vec<PartId>> {
-        if since >= self.epochs.partition {
-            return (since == self.epochs.partition).then(Vec::new);
+    /// [`refresh`](Self::refresh) for an artifact that is never patched:
+    /// whether its slot must be (re)built.
+    fn must_build(
+        &mut self,
+        class: fn(&mut CacheStats) -> &mut ArtifactStats,
+        stamp: Option<Epochs>,
+        deps: &[Input],
+    ) -> bool {
+        matches!(self.refresh(class, stamp, deps, false), Refresh::Build)
+    }
+
+    /// Whether a stale slot stamped `stamp` is stale only through tracked
+    /// [`reassign_parts`](Self::reassign_parts) churn: every dependency
+    /// but the partition agrees with the current epochs, and every
+    /// partition change since the stamp is a logged reassignment. Returns
+    /// the sorted union of the parts those reassignments touched, or
+    /// `None` when the span holds a wholesale replacement or reaches past
+    /// the bounded mutation log. The test allocates nothing; only the
+    /// returned parts do.
+    fn churn_since(&self, stamp: &Epochs, deps: &[Input]) -> Option<Vec<PartId>> {
+        let now = &self.epochs;
+        if deps
+            .iter()
+            .any(|&d| d != Input::Partition && stamp.of(d) != now.of(d))
+        {
+            return None;
         }
-        let mut touched = BTreeSet::new();
-        let mut expected = since + 1;
+        let mut touched = Vec::new();
+        let mut expected = stamp.partition + 1;
         for (epoch, delta) in &self.partition_log {
-            if *epoch <= since {
+            if *epoch <= stamp.partition {
                 continue;
             }
             if *epoch != expected {
@@ -1608,10 +1522,22 @@ impl<'g> ShortcutSession<'g> {
             expected += 1;
             match delta {
                 PartitionDelta::Wholesale => return None,
-                PartitionDelta::Reassigned(parts) => touched.extend(parts.iter().copied()),
+                PartitionDelta::Reassigned(parts) => touched.extend_from_slice(parts),
             }
         }
-        (expected == self.epochs.partition + 1).then(|| touched.into_iter().collect())
+        if expected != now.partition + 1 {
+            return None;
+        }
+        touched.sort_unstable();
+        touched.dedup();
+        Some(touched)
+    }
+
+    fn ensure_tree(&mut self) {
+        let stamp = self.tree.as_ref().map(|s| s.stamp);
+        if self.must_build(|c| &mut c.tree, stamp, deps::TREE) {
+            self.tree = Some(Slot::new(bfs::bfs_tree(self.g, self.root), self.epochs));
+        }
     }
 
     fn log_partition_change(&mut self, delta: PartitionDelta) {
@@ -1622,46 +1548,32 @@ impl<'g> ShortcutSession<'g> {
     }
 
     fn ensure_full(&mut self) {
-        let now = self.epochs;
-        if let Some(slot) = &self.full {
-            if slot.fresh(&now, deps::SHORTCUT) {
-                self.stats.full.hits += 1;
-                return;
+        let stamp = self.full.as_ref().map(|s| s.stamp);
+        match self.refresh(|c| &mut c.full, stamp, deps::SHORTCUT, true) {
+            Refresh::Hit => {}
+            Refresh::Patch(touched) => self.recustomize(&touched),
+            Refresh::Build => {
+                let artifact = match self.backend.dist_config() {
+                    None => {
+                        self.ensure_tree();
+                        let res = full_shortcut(
+                            self.g,
+                            &self.tree.as_ref().expect("ensured").value,
+                            self.partition.as_ref().expect(NO_PARTITION),
+                            &self.config.shortcut,
+                        );
+                        FullArtifact {
+                            shortcut: res.shortcut,
+                            delta_hat: res.delta_hat,
+                            witness: res.best_witness,
+                            construction: ConstructionStats::default(),
+                        }
+                    }
+                    Some(dist) => self.full_from_dist(&dist),
+                };
+                self.full = Some(Slot::new(artifact, self.epochs));
             }
-            let stamp = slot.stamp;
-            let only_partition_moved =
-                stamp.topology == now.topology && stamp.tree == now.tree && stamp.sim == now.sim;
-            if only_partition_moved {
-                if let Some(touched) = self.parts_changed_since(stamp.partition) {
-                    // Non-empty: the slot is stale on the partition epoch,
-                    // so at least one tracked reassignment happened.
-                    self.recustomize(&touched);
-                    return;
-                }
-            }
-            self.stats.full.invalidations += 1;
-            self.full = None;
         }
-        let artifact = match self.backend.dist_config() {
-            None => {
-                self.ensure_tree();
-                let res = full_shortcut(
-                    self.g,
-                    &self.tree.as_ref().expect("ensured").value,
-                    self.partition.as_ref().expect(NO_PARTITION),
-                    &self.config.shortcut,
-                );
-                FullArtifact {
-                    shortcut: res.shortcut,
-                    delta_hat: res.delta_hat,
-                    witness: res.best_witness,
-                    construction: ConstructionStats::default(),
-                }
-            }
-            Some(dist) => self.full_from_dist(&dist),
-        };
-        self.stats.full.builds += 1;
-        self.full = Some(Slot::new(artifact, self.epochs));
     }
 
     /// Incremental re-customization: one mini doubling search over just
@@ -1678,16 +1590,11 @@ impl<'g> ShortcutSession<'g> {
             .take()
             .expect("recustomize requires a cached full artifact");
         // Quality can only be patched in lockstep with the shortcut it was
-        // measured on; a report from another artifact generation is
-        // dropped and re-measured in full instead.
-        let quality = match self.quality.take() {
-            Some(q) if q.stamp.agrees_on(&slot.stamp, deps::SHORTCUT) => Some(q),
-            Some(_) => {
-                self.stats.quality.invalidations += 1;
-                None
-            }
-            None => None,
-        };
+        // measured on; a report from another artifact generation stays
+        // stale, for `ensure_quality` to invalidate and re-measure in full.
+        let quality = self
+            .quality
+            .take_if(|q| q.stamp.agrees_on(&slot.stamp, deps::SHORTCUT));
         {
             let tree = &self.tree.as_ref().expect("just ensured").value;
             let partition = self.partition.as_ref().expect(NO_PARTITION);
@@ -1722,26 +1629,12 @@ impl<'g> ShortcutSession<'g> {
                 }
             }
             if let Some(qslot) = quality {
+                let mut per_part = Arc::unwrap_or_clone(qslot.value).per_part;
                 let rows = measure_parts(self.g, partition, &full.shortcut, touched);
-                let mut q = (*qslot.value).clone();
                 for (&p, row) in touched.iter().zip(rows) {
-                    q.per_part[p.index()] = row;
+                    per_part[p.index()] = row;
                 }
-                q.max_blocks = q.per_part.iter().map(|p| p.blocks).max().unwrap_or(0);
-                q.max_dilation_lower = q
-                    .per_part
-                    .iter()
-                    .map(|p| p.dilation_lower)
-                    .max()
-                    .unwrap_or(0);
-                q.max_dilation_upper = q
-                    .per_part
-                    .iter()
-                    .map(|p| p.dilation_upper)
-                    .max()
-                    .unwrap_or(0);
-                q.max_congestion = full.shortcut.max_congestion(self.g);
-                q.tree_restricted = full.shortcut.is_tree_restricted(tree);
+                let q = QualityReport::from_rows(self.g, tree, &full.shortcut, per_part);
                 self.quality = Some(Slot::new(Arc::new(q), now));
             }
         }
@@ -1755,55 +1648,20 @@ impl<'g> ShortcutSession<'g> {
         // May itself patch the quality report in lockstep with an
         // incremental re-customization.
         self.ensure_full();
-        let now = self.epochs;
-        if let Some(slot) = &self.quality {
-            if slot.fresh(&now, deps::SHORTCUT) {
-                self.stats.quality.hits += 1;
-                return;
-            }
-            self.stats.quality.invalidations += 1;
-            self.quality = None;
-        }
-        self.ensure_tree();
-        let q = measure_quality(
-            self.g,
-            self.partition.as_ref().expect(NO_PARTITION),
-            &self.tree.as_ref().expect("ensured").value,
-            &self.full.as_ref().expect("ensured").value.shortcut,
-        );
-        self.stats.quality.builds += 1;
-        self.quality = Some(Slot::new(Arc::new(q), now));
-    }
-
-    /// The distributed backends run the Theorem 1.5 protocol, whose first
-    /// phase builds its *own* BFS tree from the root (the canonical
-    /// min-id-parent rule). A provided tree is honored only if it IS that
-    /// tree — otherwise the shortcut would be restricted to one tree while
-    /// quality measurement and unicast routing use another, silently. Fail
-    /// loudly instead.
-    fn assert_provided_tree_is_canonical(&self) {
-        if !self.tree_provided {
-            return;
-        }
-        let provided = &self
-            .tree
-            .as_ref()
-            .expect("provided tree stored at build")
-            .value;
-        let canonical = bfs::bfs_tree(self.g, self.root);
-        for v in self.g.nodes() {
-            assert!(
-                provided.parent(v) == canonical.parent(v),
-                "Backend::Distributed/Sketch construct over the canonical BFS tree of root \
-                 {:?} (the simulated protocol builds it itself), but the provided tree \
-                 differs at node {v:?} — use Backend::Centralized for non-BFS trees",
-                self.root
+        let stamp = self.quality.as_ref().map(|s| s.stamp);
+        if self.must_build(|c| &mut c.quality, stamp, deps::SHORTCUT) {
+            self.ensure_tree();
+            let q = measure_quality(
+                self.g,
+                self.partition.as_ref().expect(NO_PARTITION),
+                &self.tree.as_ref().expect("ensured").value,
+                &self.full.as_ref().expect("ensured").value.shortcut,
             );
+            self.quality = Some(Slot::new(Arc::new(q), self.epochs));
         }
     }
 
     fn full_from_dist(&mut self, dist: &DistConfig) -> FullArtifact {
-        self.assert_provided_tree_is_canonical();
         let res = distributed_full_shortcut(
             self.g,
             self.root,
@@ -1860,7 +1718,6 @@ impl<'g> ShortcutSession<'g> {
     }
 
     fn partial_from_dist(&mut self, delta_hat: u32, dist: &DistConfig) -> PartialArtifact {
-        self.assert_provided_tree_is_canonical();
         let res = distributed_partial_shortcut(
             self.g,
             self.root,
@@ -1897,7 +1754,6 @@ mod tests {
         // Leak the graph for 'static test sessions (tests only).
         let g = Box::leak(Box::new(gen::grid(side, side)));
         Session::on(g)
-            .tree(TreeSource::Bfs(NodeId(0)))
             .partition(gen::rows_of_grid(side, side))
             .build()
             .expect("grid rows are valid parts")
@@ -1990,57 +1846,13 @@ mod tests {
     }
 
     #[test]
-    fn distributed_backend_accepts_the_canonical_provided_tree() {
+    fn builder_root_roots_the_bfs_tree() {
         let g = gen::grid(5, 5);
-        let tree = bfs::bfs_tree(&g, NodeId(3));
-        let mut s = Session::on(&g)
-            .tree(TreeSource::Provided(tree))
-            .partition(gen::rows_of_grid(5, 5))
-            .backend(Backend::Distributed(SimConfig::default()))
-            .build()
-            .unwrap();
-        let _ = s.shortcut(); // the provided tree IS the protocol's tree
-        assert_eq!(constructions(&s), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "differs at node")]
-    fn distributed_backend_rejects_non_canonical_trees() {
-        // On a cycle, the path tree (parent(i) = i-1) is a valid spanning
-        // tree rooted at 0 but NOT the BFS tree (BFS splits both ways).
-        let g = gen::cycle(6);
-        let n = 6u32;
-        let parent: Vec<_> = (0..n)
-            .map(|i| {
-                (i > 0).then(|| {
-                    let p = NodeId(i - 1);
-                    let e = g.find_edge(p, NodeId(i)).expect("cycle edge");
-                    (p, e)
-                })
-            })
-            .collect();
-        let dist: Vec<u32> = (0..n).collect();
-        let order: Vec<NodeId> = (0..n).map(NodeId).collect();
-        let path_tree = lcs_graph::RootedTree::from_parents(&g, NodeId(0), &parent, &dist, &order);
-        let mut sess = Session::on(&g)
-            .tree(TreeSource::Provided(path_tree))
-            .partition(vec![vec![NodeId(0), NodeId(1)]])
-            .backend(Backend::Distributed(SimConfig::default()))
-            .build()
-            .unwrap();
-        let _ = sess.shortcut();
-    }
-
-    #[test]
-    fn provided_tree_sets_the_root() {
-        let g = gen::grid(5, 5);
-        let tree = bfs::bfs_tree(&g, NodeId(12));
-        let mut s = Session::on(&g)
-            .tree(TreeSource::Provided(tree.clone()))
-            .build()
-            .unwrap();
+        let mut s = Session::on(&g).root(NodeId(12)).build().unwrap();
         assert_eq!(s.root(), NodeId(12));
-        assert_eq!(s.tree().parent(NodeId(0)), tree.parent(NodeId(0)));
+        let bfs = bfs::bfs_tree(&g, NodeId(12));
+        let tree = s.tree();
+        assert!(g.nodes().all(|v| tree.parent(v) == bfs.parent(v)));
     }
 
     #[test]
@@ -2056,11 +1868,13 @@ mod tests {
         struct Expensive(usize);
         let mut s = grid_session(6);
         let mut builds = 0;
-        let a = s.op_artifact(|g, partition, shortcut| {
+        let a = s.op_artifact_with(deps::SHORTCUT, |s| {
             builds += 1;
-            Expensive(g.num_nodes() + partition.num_parts() + shortcut.num_parts())
+            Expensive(s.graph().num_nodes() + s.partition().num_parts() + s.shortcut().num_parts())
         });
-        let b = s.op_artifact(|_, _, _| -> Expensive { unreachable!("cached after first build") });
+        let b = s.op_artifact_with(deps::SHORTCUT, |_| -> Expensive {
+            unreachable!("cached after first build")
+        });
         assert_eq!(builds, 1);
         assert!(Arc::ptr_eq(&a, &b), "one shared allocation");
         assert_eq!(a.0, 36 + 6 + 6);
@@ -2076,12 +1890,12 @@ mod tests {
         // changes; pin the fix.
         struct PartCount(usize);
         let mut s = grid_session(4);
-        let a = s.op_artifact(|_, partition, _| PartCount(partition.num_parts()));
+        let a = s.op_artifact_with(deps::SHORTCUT, |s| PartCount(s.partition().num_parts()));
         assert_eq!(a.0, 4);
         let two_rows: Vec<Vec<NodeId>> =
             vec![(0..8).map(NodeId).collect(), (8..16).map(NodeId).collect()];
         s.set_partition(two_rows).unwrap();
-        let b = s.op_artifact(|_, partition, _| PartCount(partition.num_parts()));
+        let b = s.op_artifact_with(deps::SHORTCUT, |s| PartCount(s.partition().num_parts()));
         assert_eq!(b.0, 2, "artifact must rebuild against the new partition");
         assert_eq!(s.cache_stats().op_artifacts.builds, 2);
         assert_eq!(s.cache_stats().op_artifacts.invalidations, 1);
@@ -2164,6 +1978,30 @@ mod tests {
         let touched = s.reassign_parts(&[(NodeId(7), PartId(1))]).unwrap();
         assert!(touched.is_empty(), "node already in its target part");
         assert_eq!(s.epochs(), before);
+    }
+
+    #[test]
+    fn quality_from_an_older_shortcut_is_remeasured_not_patched() {
+        let mut s = grid_session(8);
+        let _ = s.quality();
+        // A `Sim` bump rebuilds the shortcut but not the quality report,
+        // which now belongs to the previous shortcut generation.
+        let _ = s.config_mut();
+        let _ = s.shortcut();
+        s.reassign_parts(&[(NodeId(8), PartId(0))]).unwrap();
+        let _ = s.shortcut();
+        assert_eq!(s.cache_stats().recustomizations, 1);
+        assert_eq!(
+            s.cache_stats().quality.invalidations,
+            0,
+            "not looked up yet"
+        );
+        let q = s.quality().clone();
+        let stats = s.cache_stats();
+        assert_eq!((stats.quality.builds, stats.quality.invalidations), (2, 1));
+        let tree = s.tree().clone();
+        let fresh = measure_quality(s.graph(), s.partition(), &tree, s.shortcut_ref());
+        assert_eq!(q, fresh);
     }
 
     #[test]
@@ -2280,20 +2118,6 @@ mod tests {
         assert_eq!(s.cache_stats().full.builds, 1);
         assert_eq!(s.cache_stats().partials.builds, 2);
         assert_eq!(constructions(&s), 3);
-    }
-
-    #[test]
-    fn config_sim_overrides_resolve() {
-        let mut cfg = SessionConfig::default();
-        assert_eq!(cfg.aggregate_sim(), cfg.sim);
-        let over = SimConfig {
-            threads: 4,
-            ..SimConfig::default()
-        };
-        cfg.unicast.sim = Some(over);
-        assert_eq!(cfg.unicast_sim(), over);
-        assert_eq!(cfg.mst_sim(), cfg.sim);
-        assert_eq!(cfg.mincut_sim(), cfg.sim);
     }
 
     #[test]

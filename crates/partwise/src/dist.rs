@@ -13,6 +13,7 @@ use lcs_graph::{Graph, NodeId, PartId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Result of [`AggregateOp`].
 #[derive(Clone, Debug)]
@@ -34,7 +35,7 @@ pub struct PartwiseOutcome {
 /// the gossip solver, so it lives in exactly one place.
 ///
 /// Building the map is O(n + m) — per-query cost a serving deployment
-/// should not pay twice. The session-driven ops cache one instance in the
+/// should not pay twice. The session-driven ops share one instance in the
 /// session's derived-artifact store
 /// ([`ShortcutSession::op_artifact_patched`]), keyed by this type: every
 /// later aggregate/gossip call reuses it while the partition and shortcut
@@ -49,8 +50,7 @@ pub struct ParticipationMap {
 }
 
 impl ParticipationMap {
-    /// Derives the map from a graph, partition, and shortcut (the
-    /// signature [`ShortcutSession::op_artifact`] expects).
+    /// Derives the map from a graph, partition, and shortcut.
     ///
     /// # Panics
     ///
@@ -90,6 +90,24 @@ impl ParticipationMap {
         ParticipationMap {
             per_node: participation,
         }
+    }
+
+    /// The session's cached map, one artifact slot shared by aggregation
+    /// and gossip ([`ShortcutSession::op_artifact_patched`] over
+    /// [`deps::SHORTCUT`]): built on first use, then served, or refreshed
+    /// for the touched parts only under tracked `reassign_parts` churn.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the session has no partition.
+    pub(crate) fn cached(session: &mut ShortcutSession<'_>) -> Arc<Self> {
+        session.op_artifact_patched(
+            deps::SHORTCUT,
+            |s| ParticipationMap::build(s.graph(), s.partition(), s.shortcut_ref()),
+            |s, old: &ParticipationMap, touched| {
+                old.refreshed(s.graph(), s.partition(), s.shortcut_ref(), touched)
+            },
+        )
     }
 
     /// An incrementally refreshed copy: the entries of the `touched` parts
@@ -384,7 +402,7 @@ impl NodeProgram for PaProgram {
 /// `session.aggregate(..)` sugar) serves it from the session's cached
 /// shortcut; [`AggregateOp::run_on`] runs it over explicitly supplied
 /// artifacts. Both read the same [`SessionConfig`] fields: the
-/// `aggregate` block and [`SessionConfig::aggregate_sim`].
+/// `aggregate` block and [`SessionConfig::sim`].
 ///
 /// `leaders[i]`, when given, must be a member of part `i`; by default the
 /// minimum-id member leads. Every part's subgraph must be connected for the
@@ -406,23 +424,14 @@ impl PartwiseOp for AggregateOp<'_> {
     fn run(self, session: &mut ShortcutSession<'_>) -> OpReport<PartwiseOutcome> {
         session.prepare();
         let quality = session.quality_shared();
-        // The O(n + m) participation map is a session artifact: built on
-        // the first aggregate/gossip call, reused by every later one, and
-        // refreshed only for the touched parts under reassign_parts churn.
-        let participation = session.op_artifact_patched(
-            deps::SHORTCUT,
-            |s| ParticipationMap::build(s.graph(), s.partition(), s.shortcut_ref()),
-            |s, old: &ParticipationMap, touched| {
-                old.refreshed(s.graph(), s.partition(), s.shortcut_ref(), touched)
-            },
-        );
+        let participation = ParticipationMap::cached(session);
         let sc = session.config();
         let out = self.run_with(
             session.graph(),
             session.partition(),
             &participation,
             &sc.aggregate,
-            sc.aggregate_sim(),
+            sc.sim,
         );
         let metrics = out.metrics.clone();
         OpReport::from_metrics(out, &metrics, quality)
@@ -431,7 +440,7 @@ impl PartwiseOp for AggregateOp<'_> {
 
 impl AggregateOp<'_> {
     /// Runs the protocol over explicit artifacts (the non-session path),
-    /// configured by `cfg.aggregate` on [`SessionConfig::aggregate_sim`].
+    /// configured by `cfg.aggregate` on [`SessionConfig::sim`].
     ///
     /// # Panics
     ///
@@ -446,13 +455,7 @@ impl AggregateOp<'_> {
         cfg: &SessionConfig,
     ) -> PartwiseOutcome {
         let participation = ParticipationMap::build(g, partition, shortcut);
-        self.run_with(
-            g,
-            partition,
-            &participation,
-            &cfg.aggregate,
-            cfg.aggregate_sim(),
-        )
+        self.run_with(g, partition, &participation, &cfg.aggregate, cfg.sim)
     }
 
     /// Runs the protocol over a prebuilt [`ParticipationMap`] with the

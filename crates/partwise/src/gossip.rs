@@ -16,7 +16,7 @@ use crate::dist::ParticipationMap;
 use lcs_congest::{
     id_bits, Ctx, Incoming, MessageSize, NodeProgram, RunMetrics, SimConfig, SimMode, Simulator,
 };
-use lcs_core::session::{deps, OpReport, PartwiseOp, SessionConfig, ShortcutSession};
+use lcs_core::session::{OpReport, PartwiseOp, SessionConfig, ShortcutSession};
 use lcs_core::{Partition, Shortcut};
 use lcs_graph::{Graph, PartId};
 use std::collections::HashMap;
@@ -141,7 +141,7 @@ impl NodeProgram for GossipProgram {
 ///
 /// `session.run(GossipOp { .. })` (or the facade's `session.gossip(..)`)
 /// serves it from the cached shortcut; [`GossipOp::run_on`] runs it over
-/// explicit artifacts. Both run on [`SessionConfig::aggregate_sim`];
+/// explicit artifacts. Both run on [`SessionConfig::sim`];
 /// outcomes and metrics are identical at any thread count.
 #[derive(Clone, Copy, Debug)]
 pub struct GossipOp<'a> {
@@ -157,17 +157,8 @@ impl PartwiseOp for GossipOp<'_> {
     fn run(self, session: &mut ShortcutSession<'_>) -> OpReport<GossipOutcome> {
         session.prepare();
         let quality = session.quality_shared();
-        // Reuses the session-cached participation map (shared with the
-        // leader-based aggregation — same artifact type, same slot), with
-        // the same incremental refresh under reassign_parts churn.
-        let participation = session.op_artifact_patched(
-            deps::SHORTCUT,
-            |s| ParticipationMap::build(s.graph(), s.partition(), s.shortcut_ref()),
-            |s, old: &ParticipationMap, touched| {
-                old.refreshed(s.graph(), s.partition(), s.shortcut_ref(), touched)
-            },
-        );
-        let sim = session.config().aggregate_sim();
+        let participation = ParticipationMap::cached(session);
+        let sim = session.config().sim;
         let out = self.run_with(session.graph(), session.partition(), &participation, sim);
         let metrics = out.metrics.clone();
         OpReport::from_metrics(out, &metrics, quality)
@@ -176,7 +167,7 @@ impl PartwiseOp for GossipOp<'_> {
 
 impl GossipOp<'_> {
     /// Runs the flooding protocol over explicit artifacts (the non-session
-    /// path) on [`SessionConfig::aggregate_sim`].
+    /// path) on [`SessionConfig::sim`].
     ///
     /// # Panics
     ///
@@ -190,7 +181,7 @@ impl GossipOp<'_> {
         cfg: &SessionConfig,
     ) -> GossipOutcome {
         let participation = ParticipationMap::build(g, partition, shortcut);
-        self.run_with(g, partition, &participation, cfg.aggregate_sim())
+        self.run_with(g, partition, &participation, cfg.sim)
     }
 
     /// Runs the flooding protocol over a prebuilt [`ParticipationMap`] —

@@ -118,7 +118,7 @@ impl NodeProgram for RouterProgram {
 /// `session.run(UnicastOp { .. })` (or the facade's `session.unicast(..)`)
 /// routes over the session's cached tree; [`UnicastOp::run_on`] takes an
 /// explicit tree. Both read the same [`SessionConfig`] fields: the
-/// `unicast` block and [`SessionConfig::unicast_sim`].
+/// `unicast` block and [`SessionConfig::sim`].
 #[derive(Clone, Copy, Debug)]
 pub struct UnicastOp<'a> {
     /// The `(source, target)` demand pairs.
@@ -144,7 +144,7 @@ impl UnicastOp<'_> {
     /// start after a uniform random delay in `[0, cfg.unicast.delay_range)`
     /// (0 disables delays; the per-packet queue priority, drawn from
     /// `cfg.unicast.seed`, still randomizes drain order) on
-    /// [`SessionConfig::unicast_sim`] in queued mode.
+    /// [`SessionConfig::sim`] in queued mode.
     ///
     /// # Panics
     ///
@@ -192,7 +192,7 @@ impl UnicastOp<'_> {
 
         let sim_cfg = SimConfig {
             mode: SimMode::Queued,
-            ..cfg.unicast_sim()
+            ..cfg.sim
         };
         let sim = Simulator::new(g, sim_cfg);
         let run = sim.run(|v, _| {

@@ -20,11 +20,10 @@
 
 use crate::error::ApiError;
 use crate::json;
-use crate::state::{AppState, SessionEntry, SessionSpec};
+use crate::state::{edge_weights, AppState, SessionEntry, SessionSpec};
 use lcs_algos::SessionAlgoOps;
 use lcs_congest::protocols::AggOp;
 use lcs_core::session::{OpReport, SessionConfig};
-use lcs_graph::weights::EdgeWeights;
 use lcs_graph::{EdgeId, NodeId, PartId};
 use lcs_partwise::{IdempotentOp, SessionPartwiseOps};
 use serde::{Serialize, Value};
@@ -268,15 +267,7 @@ fn run_op(entry: &Arc<SessionEntry>, op: &str, args: &Value) -> Result<Value, Ap
             Ok(report_value(&report, result))
         }
         "mst" => {
-            let weights: Vec<u64> = json::require(args, "weights")?;
-            if weights.len() != entry.graph.num_edges() {
-                return Err(ApiError::bad_args(format!(
-                    "one weight per edge required — got {}, the graph has {} edges",
-                    weights.len(),
-                    entry.graph.num_edges()
-                )));
-            }
-            let weights = EdgeWeights::from_vec(entry.graph, weights);
+            let weights = edge_weights(entry.graph, json::require(args, "weights")?)?;
             let report = s.try_mst(&weights)?;
             let result = Value::object([
                 (
@@ -352,15 +343,7 @@ fn run_op(entry: &Arc<SessionEntry>, op: &str, args: &Value) -> Result<Value, Ap
             )]))
         }
         "set_weights" => {
-            let weights: Vec<u64> = json::require(args, "weights")?;
-            if weights.len() != entry.graph.num_edges() {
-                return Err(ApiError::bad_args(format!(
-                    "one weight per edge required — got {}, the graph has {} edges",
-                    weights.len(),
-                    entry.graph.num_edges()
-                )));
-            }
-            s.try_set_weights(EdgeWeights::from_vec(entry.graph, weights))?;
+            s.try_set_weights(edge_weights(entry.graph, json::require(args, "weights")?)?)?;
             Ok(Value::object([(
                 "updated",
                 Value::U64(entry.graph.num_edges() as u64),
@@ -368,12 +351,6 @@ fn run_op(entry: &Arc<SessionEntry>, op: &str, args: &Value) -> Result<Value, Ap
         }
         "set_partition" => {
             let parts: Vec<Vec<u32>> = json::require(args, "partition")?;
-            let n = entry.graph.num_nodes();
-            if let Some(&bad) = parts.iter().flatten().find(|&&v| v as usize >= n) {
-                return Err(ApiError::conflict(format!(
-                    "partition node {bad} out of range — the graph has {n} nodes"
-                )));
-            }
             let parts: Vec<Vec<NodeId>> = parts
                 .iter()
                 .map(|p| p.iter().map(|&v| NodeId(v)).collect())

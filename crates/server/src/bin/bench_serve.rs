@@ -49,7 +49,7 @@ fn grid_spec(side: usize) -> Value {
     Value::object([(
         "graph",
         Value::object([
-            ("family", Value::Str("grid".to_string())),
+            ("kind", Value::Str("grid".to_string())),
             ("rows", Value::U64(side as u64)),
             ("cols", Value::U64(side as u64)),
         ]),

@@ -360,17 +360,11 @@ impl Registry {
 /// [`GraphSource`] — the server's wire form of the one graph-construction
 /// path the whole workspace shares.
 ///
-/// Two wire forms parse to the same source (and therefore the same
-/// canonical key, warm session, and leaked graph):
-///
-/// - the **unified form**, mirroring partition sources:
-///   `{"kind": "grid", "rows": 8, "cols": 8}`,
-///   `{"kind": "road_like", "rows": 1000, "cols": 1000, "seed": 7}`,
-///   `{"kind": "edge_list_json", "path": "g.json"}`,
-///   `{"kind": "flat_binary", "path": "g.lcsg"}`;
-/// - the **legacy form** `{"family": ...}` (deprecated alias), including
-///   `{"family": "file", "path": ...}` which maps onto
-///   [`GraphSource::EdgeListJson`].
+/// The wire form mirrors partition sources:
+/// `{"kind": "grid", "rows": 8, "cols": 8}`,
+/// `{"kind": "road_like", "rows": 1000, "cols": 1000, "seed": 7}`,
+/// `{"kind": "edge_list_json", "path": "g.json"}`,
+/// `{"kind": "flat_binary", "path": "g.lcsg"}`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct GraphSpec {
     /// The unified source this spec names.
@@ -382,15 +376,11 @@ pub struct GraphSpec {
 const MAX_SERVED_NODES: u64 = 40_000_000;
 
 impl GraphSpec {
-    /// Parses and validates the `graph` field of a session spec (both
-    /// wire forms; see the type docs).
+    /// Parses and validates the `graph` field of a session spec (see the
+    /// type docs for the wire form).
     pub fn from_value(v: &Value) -> Result<Self, ApiError> {
-        let kind: String = match json::lookup(v, "kind") {
-            Some(_) => json::require(v, "kind")?,
-            // Legacy alias: `{"family": ...}`.
-            None => json::require(v, "family")?,
-        };
-        if kind == "file" || kind == "edge_list_json" {
+        let kind: String = json::require(v, "kind")?;
+        if kind == "edge_list_json" {
             let path: String = json::require(v, "path")?;
             return Ok(GraphSpec {
                 source: GraphSource::EdgeListJson { path },
@@ -437,7 +427,7 @@ impl GraphSpec {
                 return Err(ApiError::bad_args(format!(
                     "unknown graph kind `{other}` — one of grid, torus, path, cycle, \
                      complete, wheel, grid_of_cliques, road_like, edge_list_json, \
-                     flat_binary (or the legacy `family` aliases)"
+                     flat_binary"
                 )))
             }
         };
@@ -451,9 +441,8 @@ impl GraphSpec {
         })
     }
 
-    /// The canonical JSON form (fixed field order, always the unified
-    /// `kind` shape — legacy-alias specs canonicalize to the same value,
-    /// so they share warm sessions with their unified twins).
+    /// The canonical JSON form (fixed field order, so equal specs share
+    /// one warm session whatever their field order on the wire).
     pub fn canonical_value(&self) -> Value {
         let path_obj = |kind: &str, path: &str| {
             Value::object([
@@ -718,12 +707,6 @@ impl SessionSpec {
                 builder = builder.partition(gen::singleton_parts(graph));
             }
             PartitionSpec::Explicit(parts) => {
-                let n = graph.num_nodes();
-                if let Some(&bad) = parts.iter().flatten().find(|&&v| v as usize >= n) {
-                    return Err(ApiError::bad_args(format!(
-                        "partition node {bad} out of range — the graph has {n} nodes"
-                    )));
-                }
                 builder = builder.partition(
                     parts
                         .iter()
@@ -753,21 +736,25 @@ impl SessionSpec {
             .build()
             .map_err(|e| ApiError::unprocessable_partition(&e))?;
         if let Some(w) = &self.weights {
-            if w.len() != graph.num_edges() {
-                return Err(ApiError::bad_args(format!(
-                    "one weight per edge required — got {}, the graph has {} edges",
-                    w.len(),
-                    graph.num_edges()
-                )));
-            }
-            session
-                .try_set_weights(EdgeWeights::from_vec(graph, w.clone()))
-                .map_err(ApiError::from)?;
+            session.try_set_weights(edge_weights(graph, w.clone())?)?;
         } else if let Some(w) = file_weights {
             session.try_set_weights(w).map_err(ApiError::from)?;
         }
         Ok(session)
     }
+}
+
+/// One weight per edge of `graph`, as a 422 `bad_args` on a length
+/// mismatch (where [`EdgeWeights::from_vec`] would panic).
+pub(crate) fn edge_weights(graph: &Graph, weights: Vec<u64>) -> Result<EdgeWeights, ApiError> {
+    if weights.len() != graph.num_edges() {
+        return Err(ApiError::bad_args(format!(
+            "one weight per edge required — got {}, the graph has {} edges",
+            weights.len(),
+            graph.num_edges()
+        )));
+    }
+    Ok(EdgeWeights::from_vec(graph, weights))
 }
 
 #[cfg(test)]
@@ -778,7 +765,7 @@ mod tests {
         let v = Value::object([(
             "graph",
             Value::object([
-                ("family", Value::Str("grid".to_string())),
+                ("kind", Value::Str("grid".to_string())),
                 ("rows", Value::U64(rows as u64)),
                 ("cols", Value::U64(cols as u64)),
             ]),
@@ -828,7 +815,7 @@ mod tests {
             (
                 "graph",
                 Value::object([
-                    ("family", Value::Str("path".to_string())),
+                    ("kind", Value::Str("path".to_string())),
                     ("n", Value::U64(4)),
                 ]),
             ),
@@ -840,7 +827,7 @@ mod tests {
         let spec = SessionSpec::from_value(&v).expect("parses");
         let reg = Registry::new(4, 4);
         let err = reg.get_or_create(&spec).map(|_| ()).unwrap_err();
-        assert_eq!(err.status, 422);
+        assert_eq!((err.status, err.code), (422, "partition_out_of_range"));
     }
 
     fn spec_with_partition(partition: Value) -> SessionSpec {
@@ -848,7 +835,7 @@ mod tests {
             (
                 "graph",
                 Value::object([
-                    ("family", Value::Str("grid".to_string())),
+                    ("kind", Value::Str("grid".to_string())),
                     ("rows", Value::U64(6)),
                     ("cols", Value::U64(6)),
                 ]),
@@ -965,54 +952,15 @@ mod tests {
     }
 
     #[test]
-    fn legacy_family_and_unified_kind_share_one_warm_session() {
-        // The pre-GraphSource wire form must keep working *and* dedup
-        // onto the same canonical key as its unified twin.
-        let legacy = grid_spec(4, 4);
-        let unified = graph_only_spec(Value::object([
-            ("kind", Value::Str("grid".to_string())),
+    fn graph_specs_without_kind_are_rejected() {
+        let err = GraphSpec::from_value(&Value::object([
+            ("family", Value::Str("grid".to_string())),
             ("rows", Value::U64(4)),
             ("cols", Value::U64(4)),
-        ]));
-        assert_eq!(legacy.graph, unified.graph);
-        let reg = Registry::new(4, 4);
-        let (a, created_a) = reg.get_or_create(&legacy).unwrap();
-        let (b, created_b) = reg.get_or_create(&unified).unwrap();
-        assert!(created_a && !created_b);
-        assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(reg.stats().graphs, 1);
-    }
-
-    #[test]
-    fn legacy_file_alias_is_edge_list_json() {
-        let path = TempPath::new("alias.json");
-        std::fs::write(&path.0, r#"{"n": 3, "edges": [[0, 1], [1, 2]]}"#).unwrap();
-        let legacy = graph_only_spec(Value::object([
-            ("family", Value::Str("file".to_string())),
-            ("path", Value::Str(path.as_str().to_string())),
-        ]));
-        let unified = graph_only_spec(Value::object([
-            ("kind", Value::Str("edge_list_json".to_string())),
-            ("path", Value::Str(path.as_str().to_string())),
-        ]));
-        assert_eq!(
-            legacy.graph.source,
-            GraphSource::EdgeListJson {
-                path: path.as_str().to_string()
-            }
-        );
-        assert_eq!(legacy.graph, unified.graph);
-        assert_eq!(
-            json::render(&legacy.graph.canonical_value()),
-            json::render(&unified.graph.canonical_value()),
-        );
-        let reg = Registry::new(4, 4);
-        let (a, _) = reg.get_or_create(&legacy).unwrap();
-        let (b, created_b) = reg.get_or_create(&unified).unwrap();
-        assert!(!created_b, "alias and unified form share the warm session");
-        assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(reg.stats().graphs, 1);
-        assert_eq!(a.graph.num_nodes(), 3);
+        ]))
+        .unwrap_err();
+        assert_eq!((err.status, err.code), (422, "bad_args"));
+        assert!(err.message.contains("`kind`"), "{}", err.message);
     }
 
     #[test]
@@ -1102,7 +1050,7 @@ mod tests {
             (
                 "graph",
                 Value::object([
-                    ("family", Value::Str("path".to_string())),
+                    ("kind", Value::Str("path".to_string())),
                     ("n", Value::U64(4)),
                 ]),
             ),

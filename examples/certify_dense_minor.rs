@@ -12,7 +12,7 @@ fn main() {
     // every root edge overcongests at δ̂ = 1 and every part has B-degree 12.
     let comb = gen::comb(12, 28);
     let mut session = Session::on(&comb.graph)
-        .tree(TreeSource::Bfs(NodeId(0)))
+        .root(NodeId(0))
         .partition(comb.parts.clone())
         .build()
         .expect("comb chains are disjoint connected parts");

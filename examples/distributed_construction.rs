@@ -48,7 +48,7 @@ fn main() {
     );
     for (name, backend) in backends {
         let mut session = Session::on(&g)
-            .tree(TreeSource::Bfs(NodeId(0)))
+            .root(NodeId(0))
             .partition_object(partition.clone())
             .backend(backend)
             .config(config.clone())

@@ -15,7 +15,7 @@ fn main() {
     for (dp, dd) in [(5u32, 24u32), (5, 36), (6, 36), (7, 48)] {
         let lb = gen::lower_bound_topology(dp, dd);
         let mut session = Session::on(&lb.graph)
-            .tree(TreeSource::Bfs(lb.top_path[0]))
+            .root(lb.top_path[0])
             .partition(lb.rows.clone())
             .build()
             .expect("rows are disjoint connected paths");

@@ -32,7 +32,7 @@ fn main() {
     // phases with minor-sweep shortcuts (centralized oracle here; switch
     // the backend to Distributed/Sketch for the simulated construction).
     let mut session = Session::on(&g)
-        .tree(TreeSource::Bfs(NodeId(0)))
+        .root(NodeId(0))
         .backend(Backend::Centralized)
         .build()
         .expect("builder cannot fail without a partition");

@@ -12,7 +12,7 @@ fn main() {
     let side = 32;
     let g = gen::grid(side, side);
     let mut session = Session::on(&g)
-        .tree(TreeSource::Bfs(NodeId(0)))
+        .root(NodeId(0))
         .partition(gen::rows_of_grid(side, side))
         .backend(Backend::Centralized)
         .build()

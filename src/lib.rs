@@ -23,7 +23,7 @@
 //! // A 16x16 planar grid with its rows as parts, prepared once.
 //! let g = gen::grid(16, 16);
 //! let mut session = Session::on(&g)
-//!     .tree(TreeSource::Bfs(NodeId(0)))
+//!     .root(NodeId(0))
 //!     .partition(gen::rows_of_grid(16, 16))
 //!     .backend(Backend::Centralized)
 //!     .build()
@@ -112,13 +112,14 @@ pub use lcs_separator as separator;
 /// multi-value CONGEST messages (`k > 1` coalesces burst sends into packed
 /// batches within the `O(log n)`-bit budget — the n = 10⁵ sketch
 /// construction drops ~2.6× in simulated rounds at `k = 8` with
-/// bit-identical results). Per-op overrides (`aggregate.sim`, `mst.sim`, …)
-/// replace the session-wide `sim` wholesale when set.
+/// bit-identical results). Every op runs on that one `sim`; the per-op
+/// blocks (`aggregate`, `unicast`, `mst`, `mincut`) hold only the op's own
+/// seeds, delays and limits.
 ///
 /// # Mutating a live session
 ///
-/// Sessions are no longer frozen after the first construction. Five
-/// tracked inputs — `Topology`, `Tree`, `Partition`, `Weights`, `Sim`
+/// Sessions are no longer frozen after the first construction. Four
+/// tracked inputs — `Topology`, `Partition`, `Weights`, `Sim`
 /// ([`Input`](lcs_core::session::Input)) — each carry an epoch counter
 /// ([`Epochs`](lcs_core::session::Epochs)); every cached artifact records
 /// the epochs it was built under plus a declared dependency set
@@ -164,7 +165,7 @@ pub mod facade {
     pub use lcs_core::session::{
         deps, AggregateOpts, ArtifactStats, Backend, CacheStats, ConstructionStats, Epochs,
         FullArtifact, Input, MincutOpts, MstOpts, OpReport, PartialArtifact, PartwiseOp, Session,
-        SessionBuilder, SessionConfig, SessionError, ShortcutSession, TreeSource, UnicastOpts,
+        SessionBuilder, SessionConfig, SessionError, ShortcutSession, UnicastOpts,
     };
     pub use lcs_core::{HierarchySession, PartitionSource};
     pub use lcs_partwise::{AggregateOp, GossipOp, SessionPartwiseOps, UnicastOp};
@@ -175,7 +176,7 @@ pub mod facade {
 pub mod prelude {
     pub use crate::facade::{
         Backend, HierarchySession, OpReport, PartitionSource, Session, SessionAlgoOps,
-        SessionConfig, SessionPartwiseOps, ShortcutSession, TreeSource,
+        SessionConfig, SessionPartwiseOps, ShortcutSession,
     };
     pub use lcs_congest::protocols::AggOp;
     pub use lcs_core::{

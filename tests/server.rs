@@ -27,7 +27,7 @@ fn grid_spec(rows: u64, cols: u64) -> Value {
     Value::object([(
         "graph",
         Value::object([
-            ("family", Value::Str("grid".to_string())),
+            ("kind", Value::Str("grid".to_string())),
             ("rows", Value::U64(rows)),
             ("cols", Value::U64(cols)),
         ]),
@@ -258,6 +258,13 @@ fn structured_errors_do_not_kill_the_worker() {
         .post_raw(
             &format!("/sessions/{id}/reassign_parts"),
             b"{\"moves\": [[0, 400]]}",
+        )
+        .unwrap();
+    expect(&r, 409, "invalid_mutation");
+    let r = client
+        .post_raw(
+            &format!("/sessions/{id}/set_partition"),
+            b"{\"partition\": [[0, 99999]]}",
         )
         .unwrap();
     expect(&r, 409, "invalid_mutation");

@@ -67,7 +67,7 @@ fn fast_config() -> SessionConfig {
 fn second_aggregate_reuses_cached_shortcut() {
     let g = gen::grid(8, 8);
     let mut session = Session::on(&g)
-        .tree(TreeSource::Bfs(NodeId(0)))
+        .root(NodeId(0))
         .partition(gen::rows_of_grid(8, 8))
         .backend(Backend::Centralized)
         .build()
@@ -480,10 +480,6 @@ fn session_config_roundtrips_and_default_snapshot_is_pinned() {
     cfg.sim.mode = SimMode::Queued;
     cfg.sim.threads = 4;
     cfg.aggregate.delay_range = 9;
-    cfg.aggregate.sim = Some(SimConfig {
-        threads: 2,
-        ..SimConfig::default()
-    });
     cfg.mst.max_phases = Some(12);
     cfg.mincut.trees = Some(5);
     assert_eq!(roundtrip(&cfg), cfg);
@@ -500,10 +496,10 @@ const SNAPSHOT: &str = "{\"shortcut\":{\"initial_delta_hat\":1,\"congestion_fact
 \"block_factor\":8,\"witness_mode\":\"Derandomized\",\"seed\":1554098974},\
 \"sim\":{\"mode\":\"Strict\",\"bandwidth_bits\":null,\"max_rounds\":1000000,\
 \"seed\":12648430,\"threads\":1,\"message_packing\":1},\
-\"aggregate\":{\"delay_range\":0,\"seed\":909743,\"sim\":null},\
-\"unicast\":{\"delay_range\":0,\"seed\":1047,\"sim\":null},\
-\"mst\":{\"seed\":11577874,\"max_phases\":null,\"skip_small_fragments\":true,\"sim\":null},\
-\"mincut\":{\"trees\":null,\"sim\":null},\"partition_source\":null,\"graph_source\":null}";
+\"aggregate\":{\"delay_range\":0,\"seed\":909743},\
+\"unicast\":{\"delay_range\":0,\"seed\":1047},\
+\"mst\":{\"seed\":11577874,\"max_phases\":null,\"skip_small_fragments\":true},\
+\"mincut\":{\"trees\":null},\"partition_source\":null,\"graph_source\":null}";
 
 /// `CacheStats` is the serde-able observability surface a serving daemon
 /// exports — the counters must survive a round trip untouched.
@@ -703,9 +699,10 @@ fn option_words(results: &[Option<u64>]) -> impl Iterator<Item = u64> + '_ {
 /// `LCS_SIM_*` environment), so the pins hold under every CI variant, and
 /// the same pins are checked at one and at three simulator lanes.
 /// `aggregate.delay_range > 0` exercises the random-delays path, and the
-/// session-wide `sim`, `mst.sim` and `mincut.sim` pack at 4, 2 and 1
-/// values per message: each op's costs show which of the three it ran on
-/// (min-cut's Boruvka must run on `mincut.sim`, not `mst.sim`).
+/// session `sim` packs 4 values per message for aggregate, gossip and
+/// unicast, then 2 for MST and components, then 1 for min-cut (switched
+/// through `config_mut` between ops): each op's costs show that it ran on
+/// the session `sim` of its moment.
 #[test]
 fn op_costs_are_pinned_per_backend() {
     #[rustfmt::skip]
@@ -747,8 +744,8 @@ fn op_costs_are_pinned_per_backend() {
 }
 
 /// Runs all six ops on every backend of `op_costs_are_pinned_per_backend`
-/// with `threads` simulator lanes on every sim (session-wide, `mst.sim`,
-/// `mincut.sim`, and the distributed and sketch backends').
+/// with `threads` simulator lanes on every sim (the session's and the
+/// distributed and sketch backends').
 fn op_costs(g: &Graph, threads: usize) -> Vec<(&'static str, &'static str, u64, u64, u64, u64)> {
     let sim = SimConfig {
         threads,
@@ -766,20 +763,6 @@ fn op_costs(g: &Graph, threads: usize) -> Vec<(&'static str, &'static str, u64, 
         aggregate: AggregateOpts {
             delay_range: 4,
             ..AggregateOpts::default()
-        },
-        mst: MstOpts {
-            sim: Some(SimConfig {
-                message_packing: 2,
-                ..sim
-            }),
-            ..MstOpts::default()
-        },
-        mincut: MincutOpts {
-            sim: Some(SimConfig {
-                message_packing: 1,
-                ..sim
-            }),
-            ..MincutOpts::default()
         },
         ..SessionConfig::default()
     };
@@ -829,6 +812,7 @@ fn op_costs(g: &Graph, threads: usize) -> Vec<(&'static str, &'static str, u64, 
             u64::from(r.result.dilation),
         ]);
         got.push((name, "unicast", r.rounds, r.messages, r.bits, fp));
+        s.config_mut().sim.message_packing = 2;
         let r = s.mst(&weights);
         let fp = fingerprint(
             r.result
@@ -847,6 +831,7 @@ fn op_costs(g: &Graph, threads: usize) -> Vec<(&'static str, &'static str, u64, 
                 .chain([r.result.count as u64]),
         );
         got.push((name, "components", r.rounds, r.messages, r.bits, fp));
+        s.config_mut().sim.message_packing = 1;
         let r = s.mincut();
         let fp = fingerprint([r.result.estimate, r.result.trees as u64]);
         got.push((name, "mincut", r.rounds, r.messages, r.bits, fp));
